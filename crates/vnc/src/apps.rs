@@ -17,7 +17,7 @@ use crate::encoding::{append_tile_record, begin_tile_stream, coarsen_pixels, dec
 use crate::framebuffer::{Framebuffer, TILE};
 use crate::pool::BufPool;
 use crate::protocol::{encode_chunk_frames_into, PushResult, Reassembler, VncMsg};
-use crate::workloads::ScreenSource;
+use crate::workloads::{Damage, ScreenSource};
 use aroma_net::{Address, NetApp, NetCtx, NodeId};
 use aroma_sim::stats::Summary;
 use aroma_sim::telemetry::{Layer, Recorder};
@@ -99,10 +99,10 @@ pub struct VncServerApp {
     /// `(generation, hashes)` of recent previous generations, oldest
     /// first, for incremental diffs against lagging viewers.
     history: VecDeque<(u64, Vec<u64>)>,
-    /// Instant of the last render. Renders are idempotent per simulated
-    /// instant, so a burst of requests at one time renders (and hashes)
-    /// once.
-    last_render_at: Option<SimTime>,
+    /// Instant `fb` was last drawn at (`None` before the first drawing and
+    /// after a crash). It is the `since` of the next damage query, and a
+    /// burst of requests at that same instant skips the render pass.
+    drawn_at: Option<SimTime>,
     /// Encodings already built against the current generation.
     encodings: Vec<CachedEncoding>,
     next_update_id: u32,
@@ -129,6 +129,10 @@ pub struct VncServerApp {
     /// `BENCH_fanout.json` is `encodes` staying O(1) per screen change
     /// while `updates_sent` grows O(viewers).
     pub encodes: u64,
+    /// Times the source actually drew into the framebuffer. A render pass
+    /// whose damage is [`Damage::Clean`] draws and hashes nothing, so a
+    /// static screen costs one redraw per change, not one per request.
+    pub redraws: u64,
     /// Serves answered entirely from a cached encoding.
     pub encode_cache_hits: u64,
     /// Sends the MAC rejected synchronously despite the pump's queue-space
@@ -148,7 +152,7 @@ impl VncServerApp {
             generation: 0,
             cur_hashes,
             history: VecDeque::new(),
-            last_render_at: None,
+            drawn_at: None,
             encodings: Vec::new(),
             next_update_id: 0,
             viewers: Vec::new(),
@@ -161,6 +165,7 @@ impl VncServerApp {
             chunk_failures: 0,
             coarse_updates_sent: 0,
             encodes: 0,
+            redraws: 0,
             encode_cache_hits: 0,
             sync_send_rejections: 0,
         }
@@ -216,11 +221,15 @@ impl VncServerApp {
         i
     }
 
-    /// Render the screen for this instant (idempotent: one render and one
-    /// hash pass per simulated time, no matter how many viewers ask), and
-    /// bump the generation if the content changed.
+    /// Bring the screen up to this instant, and bump the generation if the
+    /// content changed. The source's [`Damage`] since the last drawing
+    /// decides the work: `Clean` draws and hashes nothing, `Rects` redraws
+    /// and rehashes only the tiles the rects touch, `Full` redraws and
+    /// rehashes everything. At most one drawing per simulated instant, no
+    /// matter how many viewers ask.
     fn render_current(&mut self, ctx: &mut NetCtx<'_>) {
-        if self.last_render_at == Some(ctx.now()) {
+        let now = ctx.now();
+        if self.drawn_at == Some(now) {
             return;
         }
         // Pipeline stage timing is wall clock: in a discrete-event world
@@ -229,32 +238,83 @@ impl VncServerApp {
         let profiling = ctx.telemetry().enabled();
         // lint:allow(sim-wall-clock): render-stage profile timing feeds only Snapshot's profile section, which deterministic_eq excludes (pinned by traced_profile_never_reaches_deterministic_sections)
         let t0 = profiling.then(Instant::now);
-        self.source.render(ctx.now(), &mut self.fb);
-        let mut hashes = self.pool.take_hashes();
-        self.fb.tile_hashes_into(&mut hashes);
-        if hashes != self.cur_hashes {
-            // New generation: retire the old hashes into the diff history
-            // and invalidate every encoding of the old content.
-            let old = std::mem::replace(&mut self.cur_hashes, hashes);
-            self.history.push_back((self.generation, old));
-            if self.history.len() > HISTORY_DEPTH {
-                if let Some((_, h)) = self.history.pop_front() {
-                    self.pool.put_hashes(h);
+        let damage = match self.drawn_at {
+            Some(since) => self
+                .source
+                .damage(since, now, self.fb.width(), self.fb.height()),
+            None => Damage::Full,
+        };
+        match damage {
+            Damage::Clean => {
+                // `fb` already shows the screen at `now`; debug builds
+                // hold the source to that claim.
+                #[cfg(debug_assertions)]
+                {
+                    let mut fresh = self.fb.clone();
+                    self.source.render(now, &mut fresh);
+                    assert!(
+                        fresh == self.fb,
+                        "{} declared Clean damage from {:?} to {now:?} but its screen changed",
+                        self.source.name(),
+                        self.drawn_at
+                    );
                 }
             }
-            self.generation += 1;
-            for enc in self.encodings.drain(..) {
-                let mut frames = enc.chunks;
-                frames.clear();
-                self.pool.put_frames(frames);
+            Damage::Rects(rects) => {
+                self.source.render(now, &mut self.fb);
+                let mut hashes = self.pool.take_hashes();
+                hashes.extend_from_slice(&self.cur_hashes);
+                let mut touched = self.pool.take_indices();
+                self.fb.tiles_touched_into(&rects, &mut touched);
+                let tiles_x = self.fb.tiles_x();
+                for &i in &touched {
+                    hashes[i] = self.fb.tile_hash(i % tiles_x, i / tiles_x);
+                }
+                self.pool.put_indices(touched);
+                debug_assert_eq!(
+                    hashes,
+                    self.fb.tile_hashes(),
+                    "{} changed tiles outside its declared damage rects",
+                    self.source.name()
+                );
+                self.adopt_drawing(now, hashes);
             }
-        } else {
-            self.pool.put_hashes(hashes);
+            Damage::Full => {
+                self.source.render(now, &mut self.fb);
+                let mut hashes = self.pool.take_hashes();
+                self.fb.tile_hashes_into(&mut hashes);
+                self.adopt_drawing(now, hashes);
+            }
         }
-        self.last_render_at = Some(ctx.now());
         if let Some(t) = t0 {
             ctx.telemetry()
                 .profile("vnc.render", t.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Record a drawing made at `now` whose tile hashes are `hashes`. If
+    /// any tile changed, start a new generation: retire the old hashes
+    /// into the diff history and invalidate every encoding of the old
+    /// content.
+    fn adopt_drawing(&mut self, now: SimTime, hashes: Vec<u64>) {
+        self.redraws += 1;
+        self.drawn_at = Some(now);
+        if hashes == self.cur_hashes {
+            self.pool.put_hashes(hashes);
+            return;
+        }
+        let old = std::mem::replace(&mut self.cur_hashes, hashes);
+        self.history.push_back((self.generation, old));
+        if self.history.len() > HISTORY_DEPTH {
+            if let Some((_, h)) = self.history.pop_front() {
+                self.pool.put_hashes(h);
+            }
+        }
+        self.generation += 1;
+        for enc in self.encodings.drain(..) {
+            let mut frames = enc.chunks;
+            frames.clear();
+            self.pool.put_frames(frames);
         }
     }
 
@@ -501,7 +561,7 @@ impl NetApp for VncServerApp {
         self.ready.clear();
         self.encodings.clear();
         self.history.clear();
-        self.last_render_at = None;
+        self.drawn_at = None;
         self.pool.clear();
     }
 }
@@ -813,7 +873,7 @@ impl NetApp for VncViewerApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads::{BouncingBox, SlideDeck};
+    use crate::workloads::{BouncingBox, NoiseVideo, SlideDeck};
     use aroma_env::radio::RadioEnvironment;
     use aroma_env::space::Point;
     use aroma_net::{MacConfig, Network, NodeConfig};
@@ -1171,6 +1231,55 @@ mod tests {
         assert_eq!(v.recoveries, 0, "the id wrap broke reassembly");
     }
 
+    /// Serve `source` at 320×240 to one back-to-back viewer for `secs`
+    /// simulated seconds; returns `(redraws, updates_sent, converged)`.
+    fn redraw_run(source: Box<dyn ScreenSource>, secs: u64, seed: u64) -> (u64, u64, bool) {
+        let (mut net, server, viewer) = pair(source, 320, 240, seed);
+        net.run_for(SimDuration::from_secs(secs));
+        let s = net.app_as::<VncServerApp>(server).unwrap();
+        let v = net.app_as::<VncViewerApp>(viewer).unwrap();
+        (
+            s.redraws,
+            s.updates_sent,
+            s.screen_digest() == v.screen_digest(),
+        )
+    }
+
+    /// Damage tracking: a viewer pulling a slide deck back to back is
+    /// served hundreds of updates, but the server draws once at start and
+    /// once per flip (at 10 s and 20 s), not once per request — and the
+    /// screens still converge.
+    #[test]
+    fn static_slides_redraw_per_flip_not_per_request() {
+        let (redraws, updates, converged) = redraw_run(Box::new(SlideDeck::new(10.0)), 30, 23);
+        assert!(redraws <= 4, "{redraws} redraws for 3 slides");
+        assert!(
+            updates >= 1_000,
+            "only {updates} updates: the viewer is not pulling back to back"
+        );
+        assert!(converged, "viewer screen diverged from server");
+    }
+
+    /// Noise redraws at most once per frame interval, however fast the
+    /// viewer pulls; the moving box at most once per request.
+    #[test]
+    fn redraws_are_bounded_by_content_changes() {
+        let (redraws, updates, _) = redraw_run(Box::new(NoiseVideo::new(2.0, 29)), 10, 29);
+        assert!(
+            (1..=2 * 10 + 1).contains(&redraws),
+            "{redraws} noise redraws in 10 s at 2 fps"
+        );
+        assert!(
+            updates > redraws,
+            "only {updates} updates: the test never pulled within a frame"
+        );
+        let (redraws, updates, _) = redraw_run(Box::new(BouncingBox::new()), 3, 31);
+        assert!(
+            (1..=updates).contains(&redraws),
+            "{redraws} box redraws for {updates} requests"
+        );
+    }
+
     /// Broadcast fan-out: several viewers pull the same static screen, the
     /// server answers every one from a handful of shared encodings, and
     /// all screens converge. `encodes` staying flat while `updates_sent`
@@ -1205,8 +1314,15 @@ mod tests {
             s.updates_sent
         );
         assert!(s.encode_cache_hits > s.encodes, "cache never took over");
-        let (hits, misses) = s.pool_stats();
-        assert!(hits > misses, "buffer pool never reached steady state");
+        // Serving a cached encoding takes nothing from the buffer pool,
+        // and neither does a request that finds the screen clean: pool
+        // allocations track encodes and redraws, not the audience.
+        let (_, misses) = s.pool_stats();
+        assert!(
+            misses * 10 < s.updates_sent,
+            "{misses} pool allocations for {} serves",
+            s.updates_sent
+        );
         for &vid in &viewers {
             let v = net.app_as::<VncViewerApp>(vid).unwrap();
             assert!(v.updates_completed >= 1);

@@ -5,6 +5,27 @@ use aroma_sim::rng::fnv1a;
 /// Tile edge length in pixels (16×16, as in VNC's hextile encoding).
 pub const TILE: usize = 16;
 
+/// An axis-aligned pixel rectangle. It may extend past the screen edge;
+/// consumers clip it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Rect {
+    /// Left edge, pixels.
+    pub x: usize,
+    /// Top edge, pixels.
+    pub y: usize,
+    /// Width, pixels.
+    pub w: usize,
+    /// Height, pixels.
+    pub h: usize,
+}
+
+impl Rect {
+    /// The rectangle at `(x, y)` of size `w`×`h`.
+    pub const fn new(x: usize, y: usize, w: usize, h: usize) -> Self {
+        Rect { x, y, w, h }
+    }
+}
+
 /// A 16-bit RGB565 framebuffer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Framebuffer {
@@ -139,6 +160,26 @@ impl Framebuffer {
                 out.push(self.tile_hash(tx, ty));
             }
         }
+    }
+
+    /// Indices (row-major, ascending, no duplicates) of the tiles that any
+    /// of `rects` touches after clipping to the screen, into a
+    /// caller-owned vector (cleared first). Empty rects touch nothing.
+    pub fn tiles_touched_into(&self, rects: &[Rect], out: &mut Vec<usize>) {
+        out.clear();
+        let tiles_x = self.tiles_x();
+        for r in rects {
+            let x1 = r.x.saturating_add(r.w).min(self.width);
+            let y1 = r.y.saturating_add(r.h).min(self.height);
+            if r.x >= x1 || r.y >= y1 {
+                continue;
+            }
+            for ty in r.y / TILE..y1.div_ceil(TILE) {
+                out.extend((r.x / TILE..x1.div_ceil(TILE)).map(|tx| ty * tiles_x + tx));
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// Indices (row-major) of tiles whose hash differs from `prev`

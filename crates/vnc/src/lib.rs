@@ -16,6 +16,8 @@
 //!   chunks with windowed sending so the MAC queue is never flooded,
 //! * [`workloads`] — the three screen contents the experiment sweeps:
 //!   static slides, moving-box animation, and noise video (incompressible),
+//!   each declaring its own [`workloads::Damage`] so the server redraws and
+//!   rehashes only what may have changed,
 //! * [`apps`] — [`apps::VncServerApp`] (the laptop) and
 //!   [`apps::VncViewerApp`] (the Aroma Adapter driving the projector),
 //!   measuring achieved frame rate, per-frame latency and bytes on the air.
@@ -31,5 +33,5 @@ pub mod protocol;
 pub mod workloads;
 
 pub use apps::{VncServerApp, VncViewerApp};
-pub use framebuffer::{Framebuffer, TILE};
-pub use workloads::{BouncingBox, NoiseVideo, ScreenSource, SlideDeck};
+pub use framebuffer::{Framebuffer, Rect, TILE};
+pub use workloads::{BouncingBox, Damage, NoiseVideo, ScreenSource, SlideDeck};

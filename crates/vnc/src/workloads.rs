@@ -5,13 +5,40 @@
 //! (the case the paper says the wireless link cannot sustain), and *noise
 //! video* (incompressible worst case).
 
-use crate::framebuffer::Framebuffer;
+use crate::framebuffer::{Framebuffer, Rect};
 use aroma_sim::{SimRng, SimTime};
 
+/// What may differ between the screen a source draws at one instant and
+/// the screen it draws at another (DESIGN.md §16, damage tracking).
+///
+/// Damage may over-report — declaring pixels that turn out unchanged costs
+/// only a redraw — but must never under-report: a pixel outside the
+/// declared damage that does change leaves the server hashing, and so
+/// serving, a stale screen.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Damage {
+    /// The two screens are identical.
+    Clean,
+    /// Only pixels inside these rectangles may differ.
+    Rects(Vec<Rect>),
+    /// Anything may differ.
+    Full,
+}
+
 /// Something that can draw the screen contents at a given instant.
+///
+/// `render` must be a pure function of `t` and the framebuffer size: the
+/// server draws only when [`ScreenSource::damage`] says the screen may have
+/// changed, and trusts the last drawing otherwise.
 pub trait ScreenSource {
     /// Render the screen as of time `t` into `fb`.
     fn render(&mut self, t: SimTime, fb: &mut Framebuffer);
+    /// What may differ between the `width`×`height` screens drawn at
+    /// `since` and at `now`. The default, [`Damage::Full`], is always
+    /// sound; sources override it to spare the server redraws.
+    fn damage(&self, _since: SimTime, _now: SimTime, _width: usize, _height: usize) -> Damage {
+        Damage::Full
+    }
     /// Short name for reports.
     fn name(&self) -> &'static str;
 }
@@ -29,17 +56,30 @@ impl SlideDeck {
         assert!(period_s > 0.0);
         SlideDeck { period_s }
     }
+
+    /// Index of the slide showing at `t`.
+    fn slide(&self, t: SimTime) -> usize {
+        (t.as_secs_f64() / self.period_s) as usize
+    }
 }
 
 impl ScreenSource for SlideDeck {
     fn render(&mut self, t: SimTime, fb: &mut Framebuffer) {
-        let slide = (t.as_secs_f64() / self.period_s) as usize;
+        let slide = self.slide(t);
         // Background hue varies per slide; bullet blocks vary in count.
         let bg = 0x2104u16.wrapping_add((slide as u16).wrapping_mul(0x1111));
         fb.clear(bg);
         fb.fill_rect(32, 16, fb.width() - 64, 48, 0xFFFF); // title bar
         for bullet in 0..(slide % 5 + 1) {
             fb.fill_rect(48, 96 + bullet * 48, fb.width() / 2, 24, 0xC618);
+        }
+    }
+    fn damage(&self, since: SimTime, now: SimTime, _width: usize, _height: usize) -> Damage {
+        // A flip repaints the background, so it damages everything.
+        if self.slide(since) == self.slide(now) {
+            Damage::Clean
+        } else {
+            Damage::Full
         }
     }
     fn name(&self) -> &'static str {
@@ -67,6 +107,20 @@ impl BouncingBox {
             vy: 220.0,
         }
     }
+
+    /// Top-left pixel of the box at `t` on a `w`×`h` screen.
+    fn pos(&self, t: SimTime, w: usize, h: usize) -> (usize, usize) {
+        let span_x = (w - self.size) as f64;
+        let span_y = (h - self.size) as f64;
+        // Triangle-wave position: |((vt) mod 2s) - s| for bounce.
+        let tri = |v: f64, span: f64| -> f64 {
+            let x = (v * t.as_secs_f64()) % (2.0 * span);
+            (x - span).abs()
+        };
+        let x = span_x - tri(self.vx, span_x);
+        let y = span_y - tri(self.vy, span_y);
+        (x as usize, y as usize)
+    }
 }
 
 impl Default for BouncingBox {
@@ -77,18 +131,22 @@ impl Default for BouncingBox {
 
 impl ScreenSource for BouncingBox {
     fn render(&mut self, t: SimTime, fb: &mut Framebuffer) {
-        let (w, h) = (fb.width(), fb.height());
-        let span_x = (w - self.size) as f64;
-        let span_y = (h - self.size) as f64;
-        // Triangle-wave position: |((vt) mod 2s) - s| for bounce.
-        let tri = |v: f64, span: f64| -> f64 {
-            let x = (v * t.as_secs_f64()) % (2.0 * span);
-            (x - span).abs()
-        };
-        let x = span_x - tri(self.vx, span_x);
-        let y = span_y - tri(self.vy, span_y);
+        let (x, y) = self.pos(t, fb.width(), fb.height());
         fb.clear(0x0000);
-        fb.fill_rect(x as usize, y as usize, self.size, self.size, 0xF800);
+        fb.fill_rect(x, y, self.size, self.size, 0xF800);
+    }
+    fn damage(&self, since: SimTime, now: SimTime, width: usize, height: usize) -> Damage {
+        let (x0, y0) = self.pos(since, width, height);
+        let (x1, y1) = self.pos(now, width, height);
+        if (x0, y0) == (x1, y1) {
+            Damage::Clean
+        } else {
+            // Everything outside the old and the new box is background.
+            Damage::Rects(vec![
+                Rect::new(x0, y0, self.size, self.size),
+                Rect::new(x1, y1, self.size, self.size),
+            ])
+        }
     }
     fn name(&self) -> &'static str {
         "animation"
@@ -112,18 +170,29 @@ impl NoiseVideo {
             rng: SimRng::new(seed),
         }
     }
+
+    /// Index of the noise frame showing at `t`.
+    fn frame(&self, t: SimTime) -> u64 {
+        (t.as_secs_f64() * self.fps) as u64
+    }
 }
 
 impl ScreenSource for NoiseVideo {
     fn render(&mut self, t: SimTime, fb: &mut Framebuffer) {
         // Deterministic per frame index: re-fork so replays and repeated
         // renders of the same instant produce identical screens.
-        let frame = (t.as_secs_f64() * self.fps) as u64;
-        let mut rng = self.rng.fork(frame);
+        let mut rng = self.rng.fork(self.frame(t));
         for y in 0..fb.height() {
             for x in 0..fb.width() {
                 fb.set(x, y, rng.next_u64_raw() as u16);
             }
+        }
+    }
+    fn damage(&self, since: SimTime, now: SimTime, _width: usize, _height: usize) -> Damage {
+        if self.frame(since) == self.frame(now) {
+            Damage::Clean
+        } else {
+            Damage::Full
         }
     }
     fn name(&self) -> &'static str {

@@ -1,10 +1,13 @@
 //! Property-based tests for the VNC substrate codecs and framebuffer.
 
+use aroma_sim::SimTime;
 use aroma_vnc::encoding::{
     decode_tile, encode_tile, read_tile_stream, rle_decode, rle_encode, write_tile_stream,
 };
 use aroma_vnc::protocol::{chunk_update, PushResult, Reassembler, VncMsg};
-use aroma_vnc::{Framebuffer, TILE};
+use aroma_vnc::{
+    BouncingBox, Damage, Framebuffer, NoiseVideo, Rect, ScreenSource, SlideDeck, TILE,
+};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -148,5 +151,95 @@ proptest! {
         for d in &dirty {
             prop_assert!(touched.contains(d), "tile {d} dirty but never written");
         }
+    }
+}
+
+/// Every built-in screen source. Slides flip every 1.5 s and noise runs at
+/// 7 fps, so random instants a few seconds apart cross changes often.
+fn builtin_sources() -> Vec<Box<dyn ScreenSource>> {
+    vec![
+        Box::new(SlideDeck::new(1.5)),
+        Box::new(BouncingBox::new()),
+        Box::new(NoiseVideo::new(7.0, 11)),
+    ]
+}
+
+fn drawn(src: &mut dyn ScreenSource, t: SimTime, w: usize, h: usize) -> Framebuffer {
+    let mut fb = Framebuffer::new(w, h);
+    src.render(t, &mut fb);
+    fb
+}
+
+proptest! {
+    /// Damage never under-reports: for every built-in source and screen
+    /// size, `Clean` means the two instants draw the same screen, and
+    /// `Rects` means every tile outside the rects hashes the same. (The
+    /// server skips exactly that drawing and hashing on the strength of
+    /// these answers.) Gaps mix sub-pixel animation steps, spans near one
+    /// noise frame, and spans across slide flips, in either direction.
+    #[test]
+    fn damage_never_under_reports(
+        since_us in 0u64..30_000_000,
+        gap_us in prop_oneof![0u64..5_000, 0u64..400_000, 0u64..3_000_000],
+        backwards in any::<bool>(),
+    ) {
+        let since = SimTime::from_nanos(since_us * 1_000);
+        let now = if backwards {
+            SimTime::from_nanos(since_us.saturating_sub(gap_us) * 1_000)
+        } else {
+            SimTime::from_nanos((since_us + gap_us) * 1_000)
+        };
+        for (w, h) in [(320, 240), (640, 480)] {
+            for mut src in builtin_sources() {
+                let before = drawn(src.as_mut(), since, w, h);
+                let after = drawn(src.as_mut(), now, w, h);
+                match src.damage(since, now, w, h) {
+                    Damage::Clean => prop_assert_eq!(
+                        before.digest(),
+                        after.digest(),
+                        "{} at {}x{}: Clean from {:?} to {:?} but the screen changed",
+                        src.name(), w, h, since, now
+                    ),
+                    Damage::Rects(rects) => {
+                        let mut touched = Vec::new();
+                        after.tiles_touched_into(&rects, &mut touched);
+                        for ty in 0..after.tiles_y() {
+                            for tx in 0..after.tiles_x() {
+                                if touched.binary_search(&(ty * after.tiles_x() + tx)).is_err() {
+                                    prop_assert_eq!(
+                                        before.tile_hash(tx, ty),
+                                        after.tile_hash(tx, ty),
+                                        "{} at {}x{}: tile ({}, {}) changed outside {:?}",
+                                        src.name(), w, h, tx, ty, rects
+                                    );
+                                }
+                            }
+                        }
+                    }
+                    Damage::Full => {}
+                }
+            }
+        }
+    }
+
+    /// `tiles_touched_into` is exactly the set of tiles holding at least
+    /// one on-screen pixel of some rect.
+    #[test]
+    fn tiles_touched_is_exact(
+        rects in prop::collection::vec((0usize..200, 0usize..150, 0usize..120, 0usize..120), 0..4),
+    ) {
+        let fb = Framebuffer::new(160, 128);
+        let rects: Vec<Rect> = rects.into_iter().map(|(x, y, w, h)| Rect::new(x, y, w, h)).collect();
+        let mut touched = Vec::new();
+        fb.tiles_touched_into(&rects, &mut touched);
+        let mut expect = std::collections::BTreeSet::new();
+        for r in &rects {
+            for y in r.y..(r.y + r.h).min(fb.height()) {
+                for x in r.x..(r.x + r.w).min(fb.width()) {
+                    expect.insert((y / TILE) * fb.tiles_x() + x / TILE);
+                }
+            }
+        }
+        prop_assert_eq!(touched, expect.into_iter().collect::<Vec<_>>());
     }
 }

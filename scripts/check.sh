@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Full local gate: release build, test suite, warning-free clippy, the
+# Full local gate: release build, the workspace test suite (the root
+# manifest's default-members span every crate), warning-free workspace
+# clippy, `repro all` diffed against its committed golden output, the
 # model checker in smoke mode (bounded exhaustive sweep of the session,
 # lease, and registrar-replication protocols — see DESIGN.md §9/§15) run
 # sequentially and with 2 and 4 workers and diffed (the sharded engine's
@@ -19,7 +21,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Parallel-determinism gate: the 50k-state smoke sweep must print the
 # byte-identical report at 1, 2, and 4 workers (only the
@@ -44,6 +46,12 @@ printf '%s\n' "$seq_out" | grep -q 'replication protocol'
 # fails the gate on output that is actually correct.
 e2_out=$(cargo run --release -p lpc-bench --bin repro -- --quick --metrics e2)
 grep -q '"net.mac.tx_attempts"' <<<"$e2_out"
+# Byte-identity golden: `repro all` is a pure function of the code, and
+# repro_full_output.txt is its committed stdout. A change that moves any
+# reported figure regenerates the golden on purpose, in the same commit:
+#   cargo run --release -p lpc-bench --bin repro -- all > repro_full_output.txt
+diff repro_full_output.txt <(cargo run --release -p lpc-bench --bin repro -- all) \
+  || { echo "FAIL: repro all diverges from repro_full_output.txt"; exit 1; }
 e9_out=$(cargo run --release -p lpc-bench --bin repro -- --experiment e9 --seed 233)
 grep -q 'chaos recovery: all layers within deadline' <<<"$e9_out"
 # Registrar-churn gate: the replicated cluster must have served zero
