@@ -6,10 +6,7 @@
 //! states; these benches keep its wall-clock honest by tracking the
 //! per-transition cost of the session model (clones two `SessionManager`s
 //! per step) and the lease model (clones a `ServiceRegistry` plus the
-//! ghost spec), plus a thread-scaling group over the layer-parallel BFS
-//! engine (DESIGN.md §12). On a single-core runner the multi-worker
-//! points measure coordination overhead, not speedup — `scripts/bench.sh`
-//! records `available_parallelism` beside the numbers for that reason.
+//! ghost spec).
 
 use aroma_check::{check, CheckerConfig, LeaseConfig, LeaseModel, SessionConfig, SessionModel};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -66,30 +63,5 @@ fn bench_lease_exploration(c: &mut Criterion) {
     });
 }
 
-fn bench_thread_scaling(c: &mut Criterion) {
-    // One fixed workload per worker count; every run must report the same
-    // distinct-state count (the determinism contract), so the only thing
-    // that varies across these benches is wall-clock.
-    let cfg = CheckerConfig::default().with_max_states(20_000);
-    let session = SessionModel::new(session_cfg(3, true));
-    let expected = check(&session, &cfg.with_workers(1)).distinct_states;
-    let mut g = c.benchmark_group("checker/threads");
-    for workers in [1usize, 2, 4] {
-        g.bench_function(format!("session_3users_{workers}w"), |b| {
-            b.iter(|| {
-                let states = check(black_box(&session), &cfg.with_workers(workers)).distinct_states;
-                assert_eq!(states, expected);
-                black_box(states)
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_session_exploration,
-    bench_lease_exploration,
-    bench_thread_scaling
-);
+criterion_group!(benches, bench_session_exploration, bench_lease_exploration);
 criterion_main!(benches);

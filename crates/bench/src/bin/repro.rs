@@ -9,8 +9,7 @@
 //! repro --trace e2     # as --metrics plus the structured trace ring
 //! repro --experiment e9 --seed 7   # one experiment, with a seed override
 //! repro --list         # list experiment ids and titles
-//! repro bench          # checker thread-scaling sweep -> BENCH_check.json
-//! repro bench --scaling  # scaling-only sweep, APPENDED to BENCH_check.json
+//! repro bench          # checker states/s + E9 recovery, APPENDED to BENCH_check.json
 //! repro bench --discovery  # lease-table scaling sweep, APPENDED to BENCH_disc.json
 //! repro bench --fanout  # broadcast fan-out sweep, APPENDED to BENCH_fanout.json
 //! repro fanout-smoke   # deterministic fan-out digest line (check.sh double-runs it)
@@ -19,7 +18,7 @@
 use lpc_bench::experiments::{self, RunOpts, ALL_IDS};
 
 const USAGE: &str = "usage: repro [--quick] [--json] [--metrics] [--trace] [--seed N] [--list] \
-                     [--scaling] [--discovery] [--fanout] [--experiment <id>] \
+                     [--discovery] [--fanout] [--experiment <id>] \
                      <all|bench|fanout-smoke|f1..f5|e1..e11>...";
 
 /// Append one rendered JSON document to a `BENCH_*.json` file, keeping
@@ -50,7 +49,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = RunOpts::default();
     let mut json = false;
-    let mut scaling = false;
     let mut discovery = false;
     let mut fanout = false;
     let mut ids: Vec<String> = Vec::new();
@@ -61,7 +59,6 @@ fn main() {
         match a.as_str() {
             "--quick" => opts.quick = true,
             "--json" => json = true,
-            "--scaling" => scaling = true,
             "--discovery" => discovery = true,
             "--fanout" => fanout = true,
             "--metrics" => opts.metrics = true,
@@ -114,28 +111,16 @@ fn main() {
         return;
     }
     // `bench` is not an experiment: it measures the model checker's
-    // thread scaling (plus the E9 recovery times) and the mobile-code
-    // execution tiers, writing BENCH_check.json and BENCH_mcode.json in
-    // the current directory.
+    // throughput (plus the E9 recovery times), appended to
+    // BENCH_check.json, and the mobile-code execution tiers, written to
+    // BENCH_mcode.json, in the current directory.
     if ids.iter().any(|id| id == "bench") {
         if ids.len() > 1 {
             eprintln!("`bench` runs alone (it owns the whole machine while timing)");
             std::process::exit(2);
         }
-        // Scaling mode: sweep only the checker and *append* the entry, so
-        // BENCH_check.json accumulates a trajectory across engine changes
-        // instead of overwriting its history.
-        if scaling {
-            let doc = lpc_bench::checkbench::run_scaling(opts.quick);
-            let text = doc.render();
-            append_bench_entry("BENCH_check.json", &text);
-            println!("{text}");
-            eprintln!("appended scaling entry to BENCH_check.json");
-            return;
-        }
-        // Discovery mode: sweep the lease-table engines (flat vs sharded
-        // at 10^4..10^6 leases) and *append* to BENCH_disc.json, same
-        // trajectory-accumulation contract as --scaling.
+        // Discovery mode: sweep the lease table at 10^4..10^6 leases and
+        // *append* to BENCH_disc.json, so the file stays a trajectory.
         if discovery {
             let doc = lpc_bench::discbench::run(opts.quick);
             let text = doc.render();
@@ -146,7 +131,7 @@ fn main() {
         }
         // Fan-out mode: broadcast scaling sweep (1 server → 10..10k
         // viewers), *appended* to BENCH_fanout.json, same trajectory-
-        // accumulation contract as --scaling/--discovery.
+        // accumulation contract as --discovery.
         if fanout {
             let doc = lpc_bench::fanoutbench::run(opts.quick);
             let text = doc.render();
@@ -157,9 +142,9 @@ fn main() {
         }
         let doc = lpc_bench::checkbench::run(opts.quick);
         let text = doc.render();
-        std::fs::write("BENCH_check.json", &text).expect("write BENCH_check.json");
+        append_bench_entry("BENCH_check.json", &text);
         println!("{text}");
-        eprintln!("wrote BENCH_check.json");
+        eprintln!("appended checker entry to BENCH_check.json");
         let doc = lpc_bench::mcodebench::run(opts.quick);
         let text = doc.render();
         std::fs::write("BENCH_mcode.json", &text).expect("write BENCH_mcode.json");

@@ -1,117 +1,58 @@
-//! Thread-scaling benchmark for the model checker: the data behind
-//! `BENCH_check.json` (written by `repro bench` / `scripts/bench.sh`).
+//! Model-checker throughput: the data behind `BENCH_check.json`, which
+//! `repro bench` / `scripts/bench.sh` append one entry to per run.
 //!
-//! Measures states/sec on bounded sweeps of the two production models at
-//! worker counts 1, 2, and 4, cross-checking that every run reports the
-//! identical state and transition counts (the determinism the parallel
-//! engine guarantees — DESIGN.md §12), and appends the fixed-seed E9
-//! chaos-recovery times so the perf trajectory tracks the recovery
-//! deadlines alongside raw checker throughput.
-//!
-//! Numbers are hardware-honest: `available_parallelism` is recorded in
-//! the JSON and every point where `workers` exceeds it carries
-//! `oversubscribed: true` — such points measure coordination overhead,
-//! not speedup, and must never be read as a scaling curve. Compare points
-//! only within one machine generation. The `engine` tag names the
-//! exploration engine the numbers were taken on, and `repro bench
-//! --scaling` appends a scaling-only document (no chaos run) so the
-//! trajectory accumulates instead of overwriting.
+//! Each entry holds one sequential states/sec point per production model
+//! on a bounded sweep, with the fixed-seed E9 chaos-recovery times beside
+//! them, so the trajectory tracks the recovery deadlines alongside raw
+//! checker throughput. `available_parallelism` is recorded for context;
+//! the checker itself is single-threaded (DESIGN.md §12). Compare points
+//! only within one machine generation.
 
 use crate::experiments::chaos::{chaos_run, storm};
 use aroma_check::{check, CheckerConfig, LeaseConfig, LeaseModel, Model, SessionConfig, SessionModel};
 use aroma_sim::report::Json;
 use std::time::Instant;
 
-/// Worker counts each model is swept at.
-pub const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// One (model, worker-count) measurement.
-pub struct ScalePoint {
-    /// Worker threads used.
-    pub workers: usize,
+/// One model's sequential sweep.
+pub struct ModelPoint {
     /// Wall-clock seconds for the sweep.
     pub secs: f64,
-    /// Distinct states explored (identical across worker counts).
+    /// Distinct states explored.
     pub states: usize,
-    /// Transitions generated (identical across worker counts).
+    /// Transitions generated.
     pub transitions: u64,
     /// Distinct states per wall-clock second.
     pub states_per_sec: f64,
-    /// `workers > available_parallelism`: this point measures coordination
-    /// overhead, not parallel speedup, and must never be read as scaling.
-    pub oversubscribed: bool,
 }
 
-impl ScalePoint {
-    fn json(&self) -> Json {
-        Json::obj(vec![
-            ("workers", Json::from(self.workers)),
-            ("secs", Json::from(self.secs)),
-            ("states", Json::from(self.states)),
-            ("transitions", Json::from(self.transitions)),
-            ("states_per_sec", Json::from(self.states_per_sec)),
-            ("oversubscribed", Json::from(self.oversubscribed)),
-        ])
+/// Time one bounded sweep of `model`.
+fn measure<M: Model>(model: &M, cfg: &CheckerConfig) -> ModelPoint {
+    let start = Instant::now();
+    let report = check(model, cfg);
+    let secs = start.elapsed().as_secs_f64();
+    assert!(report.passed(), "bench models must hold their properties");
+    ModelPoint {
+        secs,
+        states: report.distinct_states,
+        transitions: report.transitions,
+        states_per_sec: report.distinct_states as f64 / secs.max(1e-9),
     }
 }
 
-/// Sweep one model at every worker count; panics if any run's report
-/// diverges from the sequential one (the determinism gate, enforced here
-/// too so a bench run can never publish numbers from diverging engines).
-fn scale<M>(model: &M, cfg: CheckerConfig) -> Vec<ScalePoint>
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-    M::Action: Send + Sync,
-    M::Key: Send,
-{
-    let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let points: Vec<ScalePoint> = WORKER_COUNTS
-        .iter()
-        .map(|&workers| {
-            let start = Instant::now();
-            let report = check(model, &cfg.with_workers(workers));
-            let secs = start.elapsed().as_secs_f64();
-            assert!(report.passed(), "bench models must hold their properties");
-            ScalePoint {
-                workers,
-                secs,
-                states: report.distinct_states,
-                transitions: report.transitions,
-                states_per_sec: report.distinct_states as f64 / secs.max(1e-9),
-                oversubscribed: workers > parallelism,
-            }
-        })
-        .collect();
-    for p in &points[1..] {
-        assert_eq!(
-            (p.states, p.transitions),
-            (points[0].states, points[0].transitions),
-            "parallel sweep diverged from sequential at {} workers",
-            p.workers
-        );
-    }
-    points
-}
-
-fn model_json(name: &str, max_states: usize, points: &[ScalePoint]) -> (String, Json) {
-    let baseline = points[0].states_per_sec;
-    let speedup_4 = points
-        .iter()
-        .find(|p| p.workers == 4)
-        .map_or(0.0, |p| p.states_per_sec / baseline.max(1e-9));
+fn model_json(name: &str, max_states: usize, p: &ModelPoint) -> (String, Json) {
     (
         name.to_string(),
         Json::obj(vec![
             ("max_states", Json::from(max_states)),
-            ("scaling", Json::Arr(points.iter().map(ScalePoint::json).collect())),
-            ("speedup_4_workers_vs_sequential", Json::from(speedup_4)),
+            ("secs", Json::from(p.secs)),
+            ("states", Json::from(p.states)),
+            ("transitions", Json::from(p.transitions)),
+            ("states_per_sec", Json::from(p.states_per_sec)),
         ]),
     )
 }
 
-/// Sweep both production models and return their JSON entries (shared by
-/// the full bench document and the scaling-only append mode).
+/// Sweep both production models and return their JSON entries.
 fn sweep_models(max_states: usize) -> Vec<(String, Json)> {
     let cfg = CheckerConfig::default().with_max_states(max_states);
 
@@ -122,8 +63,6 @@ fn sweep_models(max_states: usize) -> Vec<(String, Json)> {
         stale_cap: 3,
         ..SessionConfig::default()
     });
-    let session_points = scale(&session, cfg);
-
     // The 3-provider lease model from the full sweep, bounded.
     let lease = LeaseModel::new(LeaseConfig {
         providers: 3,
@@ -131,34 +70,14 @@ fn sweep_models(max_states: usize) -> Vec<(String, Json)> {
         channel_cap: 4,
         ..LeaseConfig::default()
     });
-    let lease_points = scale(&lease, cfg);
-
     vec![
-        model_json("session_4users", max_states, &session_points),
-        model_json("lease_3providers", max_states, &lease_points),
+        model_json("session_4users", max_states, &measure(&session, &cfg)),
+        model_json("lease_3providers", max_states, &measure(&lease, &cfg)),
     ]
 }
 
-/// The scaling-only document appended by `repro bench --scaling`: checker
-/// throughput at 1/2/4 workers with oversubscription flags, no chaos run.
-pub fn run_scaling(quick: bool) -> Json {
-    let max_states = if quick { 20_000 } else { 200_000 };
-    let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut fields = vec![
-        ("engine".to_string(), Json::from("hash-sharded")),
-        ("mode".to_string(), Json::from("scaling")),
-        (
-            "available_parallelism".to_string(),
-            Json::from(parallelism),
-        ),
-        ("quick".to_string(), Json::from(quick)),
-    ];
-    fields.extend(sweep_models(max_states));
-    Json::Obj(fields)
-}
-
-/// Run the checker scaling sweeps plus the E9 recovery measurement and
-/// return the full `BENCH_check.json` document.
+/// Run the checker sweeps plus the E9 recovery measurement and return
+/// one `BENCH_check.json` entry.
 pub fn run(quick: bool) -> Json {
     let max_states = if quick { 20_000 } else { 200_000 };
     let models = sweep_models(max_states);
@@ -188,7 +107,7 @@ pub fn run(quick: bool) -> Json {
 
     let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut fields = vec![
-        ("engine".to_string(), Json::from("hash-sharded")),
+        ("engine".to_string(), Json::from("sequential")),
         (
             "available_parallelism".to_string(),
             Json::from(parallelism),
@@ -212,31 +131,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_points_agree_and_render() {
-        // A deliberately tiny bound: the full document (including the E9
+    fn model_point_measures_and_renders() {
+        // A deliberately tiny bound: the full entry (including the E9
         // chaos run) is exercised by `scripts/bench.sh` in release mode;
-        // this pins the cross-worker consistency check and the JSON shape
-        // cheaply enough for the debug test suite.
+        // this pins the JSON shape cheaply enough for the debug suite.
         let session = SessionModel::new(SessionConfig::default());
         let cfg = CheckerConfig::default().with_max_states(1_500);
-        let points = scale(&session, cfg);
-        assert_eq!(points.len(), WORKER_COUNTS.len());
-        assert!(points.iter().all(|p| p.states == points[0].states));
-        let (name, json) = model_json("session_4users", 1_500, &points);
+        let point = measure(&session, &cfg);
+        assert_eq!(point.states, check(&session, &cfg).distinct_states);
+        let (name, json) = model_json("session_4users", 1_500, &point);
         let text = json.render();
         assert_eq!(name, "session_4users");
-        assert!(text.contains("speedup_4_workers_vs_sequential"));
         assert!(text.contains("states_per_sec"));
-        assert!(text.contains("oversubscribed"));
-    }
-
-    #[test]
-    fn oversubscription_follows_available_parallelism() {
-        let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let session = SessionModel::new(SessionConfig::default());
-        let cfg = CheckerConfig::default().with_max_states(500);
-        for p in scale(&session, cfg) {
-            assert_eq!(p.oversubscribed, p.workers > parallelism);
-        }
+        assert!(text.contains("\"max_states\":1500"));
     }
 }

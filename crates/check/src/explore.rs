@@ -6,66 +6,17 @@
 //! trace, which keeps printed traces readable (the acceptance bar for the
 //! session hijack demo is ≤ 12 actions; BFS finds it in 2).
 //!
-//! ## Parallel exploration
-//!
-//! With [`CheckerConfig::workers`] > 1, BFS runs on a hash-sharded engine
-//! over a persistent worker pool ([`aroma_sim::sweep::pool_scope`] — one
-//! thread-spawn set per `check` call, not one per frontier tile). The
-//! canonical-key space is partitioned into `W` shards by a fixed-seed
-//! routing hash; shard `i` and successor-origin `i` are both owned by pool
-//! worker `i` ([`aroma_sim::sweep::Dispatch::Affine`] pins item `i` to
-//! worker `i` on every dispatch), so every `seen`-map shard, inbox, and
-//! state arena is only ever touched from one OS thread. Each frontier tile
-//! runs barrier-separated phases: **Expand** (each worker generates
-//! successors for a contiguous parent range and routes each canonical key
-//! to its shard in one batched send), **Dedup** (each shard merges its
-//! inbound runs in global `(parent, action)` order against its `seen`
-//! shard), a sequential **admission** step on the coordinator that assigns
-//! global node indices in that same order under the `max_states` budget,
-//! **Apply** (shards record verdicts and insert admitted keys), and
-//! **Deliver** (origins place admitted states into their arenas and check
-//! safety). Admission order is exactly the sequential engine's pop-loop
-//! order, so the resulting [`CheckReport`] (distinct states, transition
-//! counts, truncation flags, shortest counterexample traces) is
-//! byte-identical at any worker count — pinned by the equivalence
-//! proptests in `tests/parallel_equivalence.rs` and the `scripts/check.sh`
-//! 1/2/4-worker diff gate. [`Strategy::Dfs`] always takes the sequential
-//! path: its frontier is a stack, which has no layer structure to split.
-//!
-//! Allocation locality is the point of the shape: a successor state is
-//! born on its origin worker, stored in that worker's arena, and dropped
-//! there if it proves a duplicate — duplicate and budget-rejected keys
-//! ride back to their origin on the verdict message and are freed where
-//! they were allocated. Only admitted keys migrate (once, into the owning
-//! shard's `seen` map, freed there by a final teardown phase). The old
-//! fan-out/sequential-merge engine freed every worker-allocated state and
-//! key on the merge thread, and that cross-thread allocator churn made 4
-//! workers ~3x *slower* than 1 on the production models (BENCH_check.json
-//! pre-sharding entries).
-//!
-//! Sharding only buys wall-clock time when workers genuinely run in
-//! parallel; the routing, merging, and barrier machinery itself costs real
-//! per-transition work. [`PoolPolicy::Auto`] (the default) therefore keeps
-//! the whole exploration inline on the coordinator when the host reports a
-//! single hardware thread — same shards, same admission order, same report
-//! — while [`PoolPolicy::Forced`] always runs the pooled phases so tests
-//! and benchmarks can pin their behaviour on any host.
-//!
-//! AG EF ("always eventually possible") properties are resolved after the
-//! forward pass by a reverse reachability sweep over the explored graph on
-//! a second pool: goal seeding and large frontier rounds fan out in fixed
-//! chunks (results concatenate in chunk order, so steal scheduling cannot
-//! reorder them); tiny rounds stay on the coordinator via
-//! [`aroma_sim::sweep::parallel_worthwhile`]. States whose forward closure
-//! was truncated by a bound are reported as *undetermined* rather than
-//! violating — a bounded checker must never claim a liveness violation it
-//! cannot exhibit.
+//! Exploration is one sequential pop-expand loop (DESIGN.md §12 says why
+//! there is no parallel engine). AG EF ("always eventually possible")
+//! properties are resolved after the forward pass by a reverse
+//! reachability sweep over the explored graph. States whose forward
+//! closure was truncated by a bound are reported as *undetermined* rather
+//! than violating — a bounded checker must never claim a liveness
+//! violation it cannot exhibit.
 
 use crate::model::{Model, Property, PropertyKind};
-use aroma_sim::sweep::{self, Dispatch};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Mutex, RwLock};
 
 /// Exploration order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,29 +27,7 @@ pub enum Strategy {
     Dfs,
 }
 
-/// When the parallel BFS engine actually dispatches work to its pool.
-///
-/// Routing successors through shards, merging verdict runs, and crossing
-/// pool barriers costs real per-transition work. On a host that can run
-/// the workers in parallel that cost buys wall-clock speedup; on an
-/// oversubscribed host (`workers > available_parallelism()`, the extreme
-/// being a 1-core runner) it is pure additive overhead — the pre-sharding
-/// engine paid ~3.2x for it (BENCH_check.json). The [`CheckReport`] is
-/// byte-identical on every path, so the policy is free to pick the cheap
-/// one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PoolPolicy {
-    /// Dispatch to the pool only when the host has more than one hardware
-    /// thread; otherwise run every tile inline on the coordinator (same
-    /// shards, same admission order, no messaging or barriers).
-    Auto,
-    /// Always run the pooled phases, even oversubscribed. For tests and
-    /// benchmarks that pin the pooled path's determinism or measure its
-    /// coordination cost.
-    Forced,
-}
-
-/// Exploration bounds, order, and parallelism.
+/// Exploration bounds and order.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckerConfig {
     /// Stop discovering new states past this many distinct states.
@@ -107,11 +36,6 @@ pub struct CheckerConfig {
     pub max_depth: u32,
     /// BFS or DFS.
     pub strategy: Strategy,
-    /// Worker threads for BFS successor generation and the liveness pass.
-    /// `1` is the sequential engine; every count yields the same report.
-    pub workers: usize,
-    /// Whether `workers > 1` may actually fan out (see [`PoolPolicy`]).
-    pub pool: PoolPolicy,
 }
 
 impl Default for CheckerConfig {
@@ -120,9 +44,6 @@ impl Default for CheckerConfig {
             max_states: 1_000_000,
             max_depth: 10_000,
             strategy: Strategy::Bfs,
-            // lint:allow(sim-os-env): host parallelism only picks the default worker count; CheckReports are byte-identical at ANY worker count (DESIGN.md §12, parallel_equivalence proptests)
-            workers: std::thread::available_parallelism().map_or(1, |p| p.get()),
-            pool: PoolPolicy::Auto,
         }
     }
 }
@@ -146,27 +67,6 @@ impl CheckerConfig {
     pub fn with_max_depth(mut self, d: u32) -> Self {
         self.max_depth = d;
         self
-    }
-
-    /// Builder-style worker-count override (`0` is treated as `1`).
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
-        self
-    }
-
-    /// Builder-style pool-policy override.
-    pub fn with_pool_policy(mut self, p: PoolPolicy) -> Self {
-        self.pool = p;
-        self
-    }
-
-    /// Does this config actually fan work out to pool threads?
-    fn pool_enabled(&self) -> bool {
-        match self.pool {
-            PoolPolicy::Forced => true,
-            // lint:allow(sim-os-env): host parallelism only selects the execution engine; the report is byte-identical either way (pool_policy_auto_matches_forced_and_sequential)
-            PoolPolicy::Auto => std::thread::available_parallelism().map_or(1, |p| p.get()) > 1,
-        }
     }
 }
 
@@ -312,7 +212,7 @@ enum Admitted {
 /// tests: once `nodes.len() == max_states`, a successor is admitted iff
 /// its key was already seen; novel states are rejected. Initial states
 /// pass `usize::MAX` and bypass the budget.
-#[allow(clippy::too_many_arguments)] // one call site shape, two engines
+#[allow(clippy::too_many_arguments)] // one call shape: initial states and successors
 fn admit<M: Model>(
     seen: &mut HashMap<M::Key, usize>,
     ex: &mut Exploration<M>,
@@ -349,9 +249,7 @@ fn admit<M: Model>(
 
 /// Check safety on every node admitted since the last sweep, in admission
 /// order; on the first violating node, record the violation and return
-/// `true` (stop exploring). Both engines sweep at the same moments — the
-/// sequential pop points — so the stopping state count and the reported
-/// trace coincide.
+/// `true` (stop exploring).
 fn sweep_safety<M: Model>(
     model: &M,
     safety: &[&Property<M>],
@@ -380,17 +278,7 @@ fn sweep_safety<M: Model>(
 /// Exhaustively explore `model` within `cfg`'s bounds and check every
 /// property. Stops at the first safety violation (its trace is shortest
 /// under BFS); AG EF properties are resolved after the forward sweep.
-///
-/// With `cfg.workers > 1` and [`Strategy::Bfs`], exploration runs on the
-/// hash-sharded parallel engine; the report is byte-identical to the
-/// sequential engine (`workers == 1`) at any worker count.
-pub fn check<M>(model: &M, cfg: &CheckerConfig) -> CheckReport<M>
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-    M::Action: Send + Sync,
-    M::Key: Send,
-{
+pub fn check<M: Model>(model: &M, cfg: &CheckerConfig) -> CheckReport<M> {
     let props = model.properties();
     let safety: Vec<&Property<M>> = props
         .iter()
@@ -402,24 +290,18 @@ where
         .collect();
     let track_edges = !liveness.is_empty();
 
-    let workers = cfg.workers.max(1);
-    let mut ex = if workers > 1 && cfg.strategy == Strategy::Bfs {
-        explore_sharded(model, cfg, workers, &safety, track_edges)
-    } else {
-        explore_sequential(model, cfg, &safety, track_edges)
-    };
+    let mut ex = explore(model, cfg, &safety, track_edges);
 
     // Resolve AG EF properties by reverse reachability over the explored
     // graph (skipped entirely if a safety violation already stopped us).
     if ex.report.violations.is_empty() && !liveness.is_empty() {
-        let live_workers = if cfg.pool_enabled() { workers } else { 1 };
-        resolve_liveness(model, &mut ex, &liveness, live_workers);
+        resolve_liveness(model, &mut ex, &liveness);
     }
     ex.report
 }
 
-/// The sequential engine: one pop-expand loop, BFS or DFS.
-fn explore_sequential<M: Model>(
+/// The forward pass: one pop-expand loop, BFS or DFS.
+fn explore<M: Model>(
     model: &M,
     cfg: &CheckerConfig,
     safety: &[&Property<M>],
@@ -509,1139 +391,15 @@ fn explore_sequential<M: Model>(
     ex
 }
 
-// ---------------------------------------------------------------------------
-// The hash-sharded parallel engine (see the module docs for the phase walk)
-// ---------------------------------------------------------------------------
-
-/// Sentinel reply for a candidate rejected by the state budget.
-const REJECTED: u32 = u32::MAX;
-
-/// Estimated nanoseconds per liveness predicate evaluation (they clone
-/// production structs); feeds [`sweep::parallel_worthwhile`].
-const LIVE_PRED_NS: u64 = 300;
-/// Estimated nanoseconds per frontier node of one backward round.
-const LIVE_BACK_NS: u64 = 150;
-/// Steal-dispatch chunking: at most this many chunks per worker, so the
-/// per-chunk deposit slots can be sized once at pool creation.
-const CHUNKS_PER_WORKER: usize = 8;
-
-/// Fixed seed for the routing hash (odd splitmix-style constant).
-const ROUTE_SEED: u64 = 0x517c_c1b7_2722_0a95;
-
-/// A tiny fixed-seed multiply-rotate hasher used ONLY to route canonical
-/// keys to shards (and to pre-bucket within-tile duplicates). Dedup
-/// equality still goes through the std `HashMap`, so a routing collision
-/// costs one extra key comparison, never a wrong merge. Every integer
-/// write funnels through the same 64-bit mix, keeping the digest
-/// independent of platform byte order.
-struct RouteHasher(u64);
-
-impl RouteHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(ROUTE_SEED);
-    }
-}
-
-impl std::hash::Hasher for RouteHasher {
-    fn finish(&self) -> u64 {
-        let mut h = self.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^ (h >> 29)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(buf));
-        }
-    }
-    fn write_u8(&mut self, v: u8) {
-        self.mix(v as u64);
-    }
-    fn write_u16(&mut self, v: u16) {
-        self.mix(v as u64);
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.mix(v as u64);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-    fn write_u128(&mut self, v: u128) {
-        self.mix(v as u64);
-        self.mix((v >> 64) as u64);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
-    fn write_i8(&mut self, v: i8) {
-        self.mix(v as u8 as u64);
-    }
-    fn write_i16(&mut self, v: i16) {
-        self.mix(v as u16 as u64);
-    }
-    fn write_i32(&mut self, v: i32) {
-        self.mix(v as u32 as u64);
-    }
-    fn write_i64(&mut self, v: i64) {
-        self.mix(v as u64);
-    }
-    fn write_i128(&mut self, v: i128) {
-        self.write_u128(v as u128);
-    }
-    fn write_isize(&mut self, v: isize) {
-        self.mix(v as u64);
-    }
-}
-
-fn route_hash<K: std::hash::Hash>(key: &K) -> u64 {
-    let mut h = RouteHasher(ROUTE_SEED);
-    key.hash(&mut h);
-    std::hash::Hasher::finish(&h)
-}
-
-/// Map a routing hash to a shard by fixed-point multiply — uniform for any
-/// shard count, no modulo bias against power-of-two hash structure.
-fn shard_of(khash: u64, shards: usize) -> usize {
-    ((khash as u128 * shards as u128) >> 64) as usize
-}
-
-/// A generated successor, parked on its origin worker until its verdict
-/// arrives. The state never leaves this worker.
-struct Cand<M: Model> {
-    pgidx: u32,
-    action: M::Action,
-    state: M::State,
-}
-
-/// The routed half of a candidate: what a shard needs to dedup it.
-struct CandMsg<M: Model> {
-    pgidx: u32,
-    aidx: u32,
-    origin: u32,
-    /// Index into the origin's `cands` for verdict delivery.
-    oidx: u32,
-    khash: u64,
-    key: M::Key,
-}
-
-/// Verdict payload kinds (global node index of the canonical node).
-#[derive(Clone, Copy)]
-enum VerdictKind {
-    Admitted(u32),
-    Existing(u32),
-    Rejected,
-}
-
-/// A shard's answer for one candidate. `_key_back` (never read, intentionally) boomerangs duplicate and
-/// rejected keys to the origin so they are freed on their allocating
-/// thread (see the module docs).
-struct Verdict<M: Model> {
-    oidx: u32,
-    what: VerdictKind,
-    _key_back: Option<M::Key>,
-}
-
-/// A within-tile novel key awaiting a global index: the first candidate to
-/// present the key wins; later same-key candidates ride as followers.
-struct Pending<M: Model> {
-    pgidx: u32,
-    aidx: u32,
-    origin: u32,
-    oidx: u32,
-    key: M::Key,
-    /// `(origin, oidx, key)` of each duplicate-in-tile candidate.
-    followers: Vec<(u32, u32, M::Key)>,
-}
-
-/// One shard: a partition of the `seen` map plus its tile-scoped inboxes,
-/// only ever locked uncontended (worker `i` in its affine phases, or the
-/// coordinator while the pool is idle at a barrier).
-struct Shard<M: Model> {
-    seen: HashMap<M::Key, u32>,
-    /// Per-tile inbound candidate runs, each sorted by `(pgidx, aidx)`.
-    inbox: Vec<Vec<CandMsg<M>>>,
-    /// Tile-novel keys in global `(pgidx, aidx)` order.
-    pending: Vec<Pending<M>>,
-    /// Routing-hash buckets over `pending` for within-tile dedup.
-    buckets: HashMap<u64, Vec<u32>>,
-    /// Coordinator's reply per `pending` entry: a global index or REJECTED.
-    replies: Vec<u32>,
-    /// Outbound verdict runs, one per origin.
-    out_verdicts: Vec<Vec<Verdict<M>>>,
-}
-
-impl<M: Model> Shard<M> {
-    fn new(workers: usize) -> Self {
-        Shard {
-            seen: HashMap::new(),
-            inbox: Vec::new(),
-            pending: Vec::new(),
-            buckets: HashMap::new(),
-            replies: Vec::new(),
-            out_verdicts: (0..workers).map(|_| Vec::new()).collect(),
-        }
-    }
-}
-
-/// One origin: the successor-generation side of a worker. States wait in
-/// `cands`; bookkeeping drained by the coordinator at each tile harvest.
-struct Origin<M: Model> {
-    cands: Vec<Cand<M>>,
-    /// Outbound candidate runs, one per shard.
-    outbox: Vec<Vec<CandMsg<M>>>,
-    /// Inbound verdict runs.
-    verdict_inbox: Vec<Vec<Verdict<M>>>,
-    /// `(parent, produced-successor count)` per expanded parent.
-    per_parent: Vec<(u32, u32)>,
-    /// `(from, to)` edge pairs in generation order (liveness runs only).
-    edge_pairs: Vec<(u32, u32)>,
-    /// Parents with a budget-rejected successor (incompletely expanded).
-    trunc: Vec<u32>,
-    /// `(gidx, property index)` of admitted nodes that failed safety.
-    viols: Vec<(u32, u32)>,
-    /// Per-candidate verdict slots, rebuilt each Deliver phase.
-    slots: Vec<Option<VerdictKind>>,
-}
-
-impl<M: Model> Origin<M> {
-    fn new(workers: usize) -> Self {
-        Origin {
-            cands: Vec::new(),
-            outbox: (0..workers).map(|_| Vec::new()).collect(),
-            verdict_inbox: Vec::new(),
-            per_parent: Vec::new(),
-            edge_pairs: Vec::new(),
-            trunc: Vec::new(),
-            viols: Vec::new(),
-            slots: Vec::new(),
-        }
-    }
-}
-
-/// Everything the pool handler can see. Created before the pool so the
-/// fixed handler can borrow it; all interior mutability is phase-disjoint
-/// (every lock below is uncontended by construction — affine ownership
-/// during worker phases, pool-idle barriers during coordinator phases).
-struct Engine<'e, M: Model> {
-    model: &'e M,
-    w: usize,
-    track_edges: bool,
-    safety: &'e [&'e Property<M>],
-    shards: Vec<Mutex<Shard<M>>>,
-    origins: Vec<Mutex<Origin<M>>>,
-    /// Per-worker node storage; nodes stay where they were born.
-    arenas: Vec<RwLock<Vec<Node<M>>>>,
-    /// Global index -> `(arena, slot)`; BFS layers are contiguous ranges.
-    dir: RwLock<Vec<(u32, u32)>>,
-}
-
-/// Coordinator-only running totals (never shared with the pool).
-struct Coord {
-    nodes: usize,
-    budget: usize,
-    transitions: u64,
-    max_depth_reached: u32,
-    complete: bool,
-    expanded: Vec<bool>,
-    arena_len: Vec<u32>,
-    stop: Option<Stop>,
-}
-
-/// A safety violation freeze-frame, resolved to a report in `finish`.
-struct Stop {
-    gidx: u32,
-    prop: u32,
-    /// Admission count at the sequential engine's stop point.
-    distinct: usize,
-}
-
-/// Pool commands: plain bounds — all real data lives in [`Engine`].
-#[derive(Clone, Copy)]
-enum Phase {
-    Expand { lo: u32, hi: u32 },
-    Dedup,
-    Apply,
-    Deliver { child_depth: u32 },
-    Teardown,
-}
-
-/// Per-phase worker body. `item` is the worker's own index: every phase
-/// dispatches [`Dispatch::Affine`], so shard `i` and origin `i` are only
-/// ever touched from pool worker `i`'s OS thread.
-fn engine_worker<M: Model>(eng: &Engine<'_, M>, phase: Phase, item: usize) {
-    match phase {
-        Phase::Expand { lo, hi } => expand_chunk(eng, lo, hi, item),
-        Phase::Dedup => dedup_shard(eng, item),
-        Phase::Apply => apply_shard(eng, item),
-        Phase::Deliver { child_depth } => deliver_origin(eng, child_depth, item),
-        Phase::Teardown => teardown_shard(eng, item),
-    }
-}
-
-/// Expand this worker's contiguous sub-range of the tile's parents:
-/// generate successors, park the states locally, route the keys.
-fn expand_chunk<M: Model>(eng: &Engine<'_, M>, lo: u32, hi: u32, item: usize) {
-    let w = eng.w as u32;
-    let per = (hi - lo).div_ceil(w);
-    let clo = lo + item as u32 * per;
-    let chi = (clo + per).min(hi);
-    if clo >= chi {
-        return;
-    }
-    let mut org = eng.origins[item].lock().expect("origin lock");
-    {
-        let dir = eng.dir.read().expect("dir lock");
-        let arenas: Vec<_> = eng
-            .arenas
-            .iter()
-            .map(|a| a.read().expect("arena lock"))
-            .collect();
-        let mut actions: Vec<M::Action> = Vec::new();
-        for p in clo..chi {
-            let (o, slot) = dir[p as usize];
-            let state = &arenas[o as usize][slot as usize].state;
-            actions.clear();
-            eng.model.actions(state, &mut actions);
-            let mut aidx = 0u32;
-            for action in actions.drain(..) {
-                let Some(next) = eng.model.step(state, &action) else {
-                    continue;
-                };
-                let key = eng.model.key(&next);
-                let khash = route_hash(&key);
-                let si = shard_of(khash, eng.w);
-                let oidx = org.cands.len() as u32;
-                org.cands.push(Cand {
-                    pgidx: p,
-                    action,
-                    state: next,
-                });
-                org.outbox[si].push(CandMsg {
-                    pgidx: p,
-                    aidx,
-                    origin: item as u32,
-                    oidx,
-                    khash,
-                    key,
-                });
-                aidx += 1;
-            }
-            org.per_parent.push((p, aidx));
-        }
-    }
-    // Batched sends: one run per non-empty shard, sorted by construction.
-    for si in 0..eng.w {
-        if !org.outbox[si].is_empty() {
-            let run = std::mem::take(&mut org.outbox[si]);
-            eng.shards[si].lock().expect("shard lock").inbox.push(run);
-        }
-    }
-}
-
-/// Merge this shard's inbound runs in global `(pgidx, aidx)` order and
-/// split them into already-seen verdicts and ordered novel pendings.
-fn dedup_shard<M: Model>(eng: &Engine<'_, M>, item: usize) {
-    let mut sh = eng.shards[item].lock().expect("shard lock");
-    let runs = std::mem::take(&mut sh.inbox);
-    let Shard {
-        seen,
-        pending,
-        buckets,
-        out_verdicts,
-        ..
-    } = &mut *sh;
-    let mut iters: Vec<_> = runs
-        .into_iter()
-        .map(|r| r.into_iter().peekable())
-        .collect();
-    loop {
-        // K-way merge over at most `workers` runs; (pgidx, aidx) pairs are
-        // globally unique, so the merge order is scheduling-independent.
-        let mut best: Option<(usize, (u32, u32))> = None;
-        for (b, it) in iters.iter_mut().enumerate() {
-            if let Some(m) = it.peek() {
-                let k = (m.pgidx, m.aidx);
-                let better = match best {
-                    None => true,
-                    Some((_, bk)) => k < bk,
-                };
-                if better {
-                    best = Some((b, k));
-                }
-            }
-        }
-        let Some((b, _)) = best else { break };
-        let msg = iters[b].next().expect("peeked run is non-empty");
-        if let Some(&g) = seen.get(&msg.key) {
-            out_verdicts[msg.origin as usize].push(Verdict {
-                oidx: msg.oidx,
-                what: VerdictKind::Existing(g),
-                _key_back: Some(msg.key),
-            });
-            continue;
-        }
-        let bucket = buckets.entry(msg.khash).or_default();
-        let mut winner: Option<u32> = None;
-        for &pi in bucket.iter() {
-            if pending[pi as usize].key == msg.key {
-                winner = Some(pi);
-                break;
-            }
-        }
-        match winner {
-            Some(pi) => {
-                pending[pi as usize]
-                    .followers
-                    .push((msg.origin, msg.oidx, msg.key));
-            }
-            None => {
-                let pi = pending.len() as u32;
-                bucket.push(pi);
-                pending.push(Pending {
-                    pgidx: msg.pgidx,
-                    aidx: msg.aidx,
-                    origin: msg.origin,
-                    oidx: msg.oidx,
-                    key: msg.key,
-                    followers: Vec::new(),
-                });
-            }
-        }
-    }
-}
-
-/// Coordinator: assign global node indices to every shard's pendings in
-/// global `(pgidx, aidx)` order — exactly the sequential admission order —
-/// applying the `max_states` budget. Runs while the pool idles, so the
-/// shard locks are uncontended.
-fn assign_tile<M: Model>(eng: &Engine<'_, M>, coord: &mut Coord) -> (u32, Vec<u32>) {
-    let tile_base = coord.nodes as u32;
-    let mut admitted: Vec<u32> = Vec::new();
-    let mut guards: Vec<_> = eng
-        .shards
-        .iter()
-        .map(|s| s.lock().expect("shard lock"))
-        .collect();
-    let mut heads = vec![0usize; eng.w];
-    let mut dir = eng.dir.write().expect("dir lock");
-    loop {
-        let mut best: Option<(usize, (u32, u32))> = None;
-        for (si, sg) in guards.iter().enumerate() {
-            if let Some(p) = sg.pending.get(heads[si]) {
-                let k = (p.pgidx, p.aidx);
-                let better = match best {
-                    None => true,
-                    Some((_, bk)) => k < bk,
-                };
-                if better {
-                    best = Some((si, k));
-                }
-            }
-        }
-        let Some((si, _)) = best else { break };
-        let sh = &mut *guards[si];
-        let pend = &sh.pending[heads[si]];
-        heads[si] += 1;
-        if coord.nodes < coord.budget {
-            let gidx = coord.nodes as u32;
-            coord.nodes += 1;
-            dir.push((pend.origin, coord.arena_len[pend.origin as usize]));
-            coord.arena_len[pend.origin as usize] += 1;
-            coord.expanded.push(false);
-            admitted.push(pend.pgidx);
-            sh.replies.push(gidx);
-        } else {
-            coord.complete = false;
-            sh.replies.push(REJECTED);
-        }
-    }
-    (tile_base, admitted)
-}
-
-/// Turn the coordinator's replies into per-origin verdicts; admitted keys
-/// enter this shard's `seen` map, everything else boomerangs home.
-fn apply_shard<M: Model>(eng: &Engine<'_, M>, item: usize) {
-    let mut sh = eng.shards[item].lock().expect("shard lock");
-    let pending = std::mem::take(&mut sh.pending);
-    let replies = std::mem::take(&mut sh.replies);
-    sh.buckets.clear();
-    debug_assert_eq!(pending.len(), replies.len());
-    for (pend, &g) in pending.into_iter().zip(replies.iter()) {
-        if g == REJECTED {
-            sh.out_verdicts[pend.origin as usize].push(Verdict {
-                oidx: pend.oidx,
-                what: VerdictKind::Rejected,
-                _key_back: Some(pend.key),
-            });
-            // The budget rejected the winner, so within-tile duplicates of
-            // it would also have found nothing in `seen`: reject them too.
-            for (o, oidx, key) in pend.followers {
-                sh.out_verdicts[o as usize].push(Verdict {
-                    oidx,
-                    what: VerdictKind::Rejected,
-                    _key_back: Some(key),
-                });
-            }
-        } else {
-            sh.out_verdicts[pend.origin as usize].push(Verdict {
-                oidx: pend.oidx,
-                what: VerdictKind::Admitted(g),
-                _key_back: None,
-            });
-            for (o, oidx, key) in pend.followers {
-                sh.out_verdicts[o as usize].push(Verdict {
-                    oidx,
-                    what: VerdictKind::Existing(g),
-                    _key_back: Some(key),
-                });
-            }
-            sh.seen.insert(pend.key, g);
-        }
-    }
-    for o in 0..eng.w {
-        if !sh.out_verdicts[o].is_empty() {
-            let run = std::mem::take(&mut sh.out_verdicts[o]);
-            eng.origins[o]
-                .lock()
-                .expect("origin lock")
-                .verdict_inbox
-                .push(run);
-        }
-    }
-}
-
-/// Consume this origin's verdicts: admitted states move into the local
-/// arena (checked against safety), duplicates and their boomeranged keys
-/// drop here — on the thread that allocated them.
-fn deliver_origin<M: Model>(eng: &Engine<'_, M>, child_depth: u32, item: usize) {
-    let mut org = eng.origins[item].lock().expect("origin lock");
-    let runs = std::mem::take(&mut org.verdict_inbox);
-    let ncands = org.cands.len();
-    org.slots.clear();
-    org.slots.resize(ncands, None);
-    for run in runs {
-        for v in run {
-            org.slots[v.oidx as usize] = Some(v.what);
-        }
-    }
-    let mut arena = eng.arenas[item].write().expect("arena lock");
-    let Origin {
-        cands,
-        slots,
-        edge_pairs,
-        trunc,
-        viols,
-        ..
-    } = &mut *org;
-    for (oidx, cand) in cands.drain(..).enumerate() {
-        match slots[oidx].expect("every candidate receives a verdict") {
-            VerdictKind::Admitted(g) => {
-                for (pi, prop) in eng.safety.iter().enumerate() {
-                    if !(prop.check)(eng.model, &cand.state) {
-                        viols.push((g, pi as u32));
-                        break;
-                    }
-                }
-                if eng.track_edges {
-                    edge_pairs.push((cand.pgidx, g));
-                }
-                // Arena slot order == assignment order: both are global
-                // (pgidx, aidx) order restricted to this origin.
-                arena.push(Node {
-                    state: cand.state,
-                    parent: Some((cand.pgidx as usize, cand.action)),
-                    depth: child_depth,
-                });
-            }
-            VerdictKind::Existing(g) => {
-                if eng.track_edges {
-                    edge_pairs.push((cand.pgidx, g));
-                }
-            }
-            VerdictKind::Rejected => trunc.push(cand.pgidx),
-        }
-    }
-}
-
-/// Free each shard's maps on the worker thread that owns them, not on
-/// whatever thread happens to drop the engine.
-fn teardown_shard<M: Model>(eng: &Engine<'_, M>, item: usize) {
-    let mut sh = eng.shards[item].lock().expect("shard lock");
-    sh.seen = HashMap::new();
-    sh.buckets = HashMap::new();
-}
-
-/// Coordinator: drain per-origin bookkeeping after a pooled tile. On a
-/// safety violation, trim the totals to the sequential stop point.
-fn harvest_tile<M: Model>(
-    eng: &Engine<'_, M>,
-    coord: &mut Coord,
-    lo: u32,
-    hi: u32,
-    tile_base: u32,
-    admitted: &[u32],
-) {
-    let mut viol: Option<(u32, u32)> = None;
-    let mut per_parent: Vec<(u32, u32)> = Vec::new();
-    let mut truncs: Vec<u32> = Vec::new();
-    for origin in &eng.origins {
-        let mut org = origin.lock().expect("origin lock");
-        for v in org.viols.drain(..) {
-            let better = match viol {
-                None => true,
-                Some(b) => v < b,
-            };
-            if better {
-                viol = Some(v);
-            }
-        }
-        per_parent.append(&mut org.per_parent);
-        truncs.append(&mut org.trunc);
-    }
-    if let Some((g, pi)) = viol {
-        // The sequential engine detects a violation at the first pop after
-        // the violator's parent finished expanding, so only admissions and
-        // transitions from parents up to and including that parent count
-        // (`admitted` is sorted by parent, so the admissions are a prefix).
-        let parent = admitted[(g - tile_base) as usize];
-        let prefix = admitted.iter().take_while(|&&pg| pg <= parent).count();
-        for &(pg, cnt) in &per_parent {
-            if pg <= parent {
-                coord.transitions += cnt as u64;
-            }
-        }
-        coord.complete = false;
-        coord.stop = Some(Stop {
-            gidx: g,
-            prop: pi,
-            distinct: tile_base as usize + prefix,
-        });
-    } else {
-        for &(_, cnt) in &per_parent {
-            coord.transitions += cnt as u64;
-        }
-        for e in &mut coord.expanded[lo as usize..hi as usize] {
-            *e = true;
-        }
-        for &p in &truncs {
-            coord.expanded[p as usize] = false;
-        }
-    }
-}
-
-/// Admit the initial states on the coordinator (they bypass the budget,
-/// exactly like the sequential engine's `usize::MAX` admission).
-fn inline_inits<M: Model>(eng: &Engine<'_, M>, coord: &mut Coord, sharded: bool) {
-    let mut viol: Option<(u32, u32)> = None;
-    for init in eng.model.initial_states() {
-        let key = eng.model.key(&init);
-        // Unsharded runs keep every key in shard 0 (see `inline_tile_direct`).
-        let si = if sharded {
-            shard_of(route_hash(&key), eng.w)
-        } else {
-            0
-        };
-        let mut sh = eng.shards[si].lock().expect("shard lock");
-        if let Entry::Vacant(e) = sh.seen.entry(key) {
-            let g = coord.nodes as u32;
-            coord.nodes += 1;
-            e.insert(g);
-            eng.dir
-                .write()
-                .expect("dir lock")
-                .push((0, coord.arena_len[0]));
-            coord.arena_len[0] += 1;
-            coord.expanded.push(false);
-            if viol.is_none() {
-                for (pi, prop) in eng.safety.iter().enumerate() {
-                    if !(prop.check)(eng.model, &init) {
-                        viol = Some((g, pi as u32));
-                        break;
-                    }
-                }
-            }
-            eng.arenas[0].write().expect("arena lock").push(Node {
-                state: init,
-                parent: None,
-                depth: 0,
-            });
-        }
-    }
-    if let Some((g, pi)) = viol {
-        coord.complete = false;
-        coord.stop = Some(Stop {
-            gidx: g,
-            prop: pi,
-            distinct: coord.nodes,
-        });
-    }
-}
-
-/// One parent's routed successors: `(action, state, key, route hash)`.
-type RoutedSuccs<M> = Vec<(
-    <M as Model>::Action,
-    <M as Model>::State,
-    <M as Model>::Key,
-    u64,
-)>;
-
-/// Expand a tile too small to amortise the pool barriers inline on the
-/// coordinator, with immediate admission. Successors are processed in
-/// strict `(parent, action)` order against the shared shard maps, so the
-/// verdicts — and therefore the report — match the pooled path exactly.
-fn inline_tile<M: Model>(eng: &Engine<'_, M>, coord: &mut Coord, lo: u32, hi: u32, depth: u32) {
-    // Every lock in the engine is free here (the pool is parked between
-    // phases), so take them all once per tile rather than per successor:
-    // the inline path must cost the same as the sequential engine, not the
-    // sequential engine plus W lock round-trips per transition.
-    let mut dir = eng.dir.write().expect("dir lock");
-    let mut shard_guards: Vec<_> = eng
-        .shards
-        .iter()
-        .map(|s| s.lock().expect("shard lock"))
-        .collect();
-    let mut a0 = eng.arenas[0].write().expect("arena lock");
-    let rest: Vec<_> = eng.arenas[1..]
-        .iter()
-        .map(|a| a.read().expect("arena lock"))
-        .collect();
-    let mut actions: Vec<M::Action> = Vec::new();
-    let mut succs: RoutedSuccs<M> = Vec::new();
-    let mut edge_buf: Vec<(u32, u32)> = Vec::new();
-    let mut viol: Option<(u32, u32)> = None;
-    for p in lo..hi {
-        let (o, slot) = dir[p as usize];
-        {
-            // Parents admitted by pooled tiles live in the workers' arenas;
-            // everything this inline path admits goes into arena 0, so the
-            // immutable parent borrow must end before the pushes below.
-            let state = if o == 0 {
-                &a0[slot as usize].state
-            } else {
-                &rest[o as usize - 1][slot as usize].state
-            };
-            actions.clear();
-            eng.model.actions(state, &mut actions);
-            for action in actions.drain(..) {
-                if let Some(next) = eng.model.step(state, &action) {
-                    let key = eng.model.key(&next);
-                    let khash = route_hash(&key);
-                    succs.push((action, next, key, khash));
-                }
-            }
-        }
-        let mut truncated = false;
-        for (action, next, key, khash) in succs.drain(..) {
-            coord.transitions += 1;
-            let si = shard_of(khash, eng.w);
-            match shard_guards[si].seen.entry(key) {
-                Entry::Occupied(e) => {
-                    if eng.track_edges {
-                        edge_buf.push((p, *e.get()));
-                    }
-                }
-                Entry::Vacant(e) => {
-                    if coord.nodes >= coord.budget {
-                        truncated = true;
-                        coord.complete = false;
-                        continue;
-                    }
-                    let g = coord.nodes as u32;
-                    coord.nodes += 1;
-                    e.insert(g);
-                    dir.push((0, coord.arena_len[0]));
-                    coord.arena_len[0] += 1;
-                    coord.expanded.push(false);
-                    if eng.track_edges {
-                        edge_buf.push((p, g));
-                    }
-                    if viol.is_none() {
-                        for (pi, prop) in eng.safety.iter().enumerate() {
-                            if !(prop.check)(eng.model, &next) {
-                                viol = Some((g, pi as u32));
-                                break;
-                            }
-                        }
-                    }
-                    a0.push(Node {
-                        state: next,
-                        parent: Some((p as usize, action)),
-                        depth: depth + 1,
-                    });
-                }
-            }
-        }
-        coord.expanded[p as usize] = !truncated;
-        if viol.is_some() {
-            // Stop expanding further parents: the sequential engine breaks
-            // at its next pop, before their admissions.
-            break;
-        }
-    }
-    drop(rest);
-    drop(a0);
-    drop(shard_guards);
-    drop(dir);
-    if !edge_buf.is_empty() {
-        eng.origins[0]
-            .lock()
-            .expect("origin lock")
-            .edge_pairs
-            .append(&mut edge_buf);
-    }
-    if let Some((g, pi)) = viol {
-        coord.complete = false;
-        coord.stop = Some(Stop {
-            gidx: g,
-            prop: pi,
-            distinct: coord.nodes,
-        });
-    }
-}
-
-/// The whole-run inline loop for pool-disabled runs ([`PoolPolicy::Auto`]
-/// on a host without real parallelism). Nothing is ever routed: every node
-/// lives in arena 0 and every key deduplicates through shard 0's map, so
-/// per successor this does exactly the sequential engine's work — one
-/// hash, one map probe — with none of the sharding machinery's cost.
-/// Admission order is the same strict `(parent, action)` order, so the
-/// report still matches the pooled engine byte for byte.
-fn inline_tile_direct<M: Model>(
-    eng: &Engine<'_, M>,
-    coord: &mut Coord,
-    lo: u32,
-    hi: u32,
-    depth: u32,
-) {
-    let mut dir = eng.dir.write().expect("dir lock");
-    let mut sh0 = eng.shards[0].lock().expect("shard lock");
-    let mut a0 = eng.arenas[0].write().expect("arena lock");
-    let mut actions: Vec<M::Action> = Vec::new();
-    let mut edge_buf: Vec<(u32, u32)> = Vec::new();
-    let mut viol: Option<(u32, u32)> = None;
-    for p in lo..hi {
-        let (o, slot) = dir[p as usize];
-        debug_assert_eq!(o, 0, "pool-disabled runs admit only into arena 0");
-        actions.clear();
-        eng.model.actions(&a0[slot as usize].state, &mut actions);
-        let mut truncated = false;
-        for action in actions.drain(..) {
-            // Re-borrow the parent per step so the arena stays pushable.
-            let Some(next) = eng.model.step(&a0[slot as usize].state, &action) else {
-                continue;
-            };
-            coord.transitions += 1;
-            let key = eng.model.key(&next);
-            match sh0.seen.entry(key) {
-                Entry::Occupied(e) => {
-                    if eng.track_edges {
-                        edge_buf.push((p, *e.get()));
-                    }
-                }
-                Entry::Vacant(e) => {
-                    if coord.nodes >= coord.budget {
-                        truncated = true;
-                        coord.complete = false;
-                        continue;
-                    }
-                    let g = coord.nodes as u32;
-                    coord.nodes += 1;
-                    e.insert(g);
-                    dir.push((0, coord.arena_len[0]));
-                    coord.arena_len[0] += 1;
-                    coord.expanded.push(false);
-                    if eng.track_edges {
-                        edge_buf.push((p, g));
-                    }
-                    if viol.is_none() {
-                        for (pi, prop) in eng.safety.iter().enumerate() {
-                            if !(prop.check)(eng.model, &next) {
-                                viol = Some((g, pi as u32));
-                                break;
-                            }
-                        }
-                    }
-                    a0.push(Node {
-                        state: next,
-                        parent: Some((p as usize, action)),
-                        depth: depth + 1,
-                    });
-                }
-            }
-        }
-        coord.expanded[p as usize] = !truncated;
-        if viol.is_some() {
-            // Same stop point as the sequential engine's next pop.
-            break;
-        }
-    }
-    drop(a0);
-    drop(sh0);
-    drop(dir);
-    if !edge_buf.is_empty() {
-        eng.origins[0]
-            .lock()
-            .expect("origin lock")
-            .edge_pairs
-            .append(&mut edge_buf);
-    }
-    if let Some((g, pi)) = viol {
-        coord.complete = false;
-        coord.stop = Some(Stop {
-            gidx: g,
-            prop: pi,
-            distinct: coord.nodes,
-        });
-    }
-}
-
-/// Gather the engine's arenas into admission-order `nodes` and build the
-/// final [`Exploration`]; on a violation stop, trim to the sequential
-/// engine's stop point.
-fn finish<M: Model>(eng: Engine<'_, M>, coord: Coord) -> Exploration<M> {
-    let Engine {
-        safety,
-        track_edges,
-        origins,
-        arenas,
-        dir,
-        ..
-    } = eng;
-    let dir = dir.into_inner().expect("dir lock");
-    let distinct = coord.stop.as_ref().map_or(coord.nodes, |s| s.distinct);
-    let mut its: Vec<_> = arenas
-        .into_iter()
-        .map(|a| a.into_inner().expect("arena lock").into_iter())
-        .collect();
-    let mut nodes: Vec<Node<M>> = Vec::with_capacity(distinct);
-    // Global order interleaves the arenas; each arena is already in global
-    // order restricted to itself, so a per-arena cursor suffices.
-    for &(o, _) in dir.iter().take(distinct) {
-        nodes.push(its[o as usize].next().expect("arena directory consistent"));
-    }
-    drop(its);
-    let mut ex = Exploration::new();
-    ex.report.distinct_states = distinct;
-    ex.report.transitions = coord.transitions;
-    ex.report.max_depth_reached = coord.max_depth_reached;
-    ex.report.complete = coord.complete;
-    if let Some(s) = &coord.stop {
-        ex.report.violations.push(Violation {
-            property: safety[s.prop as usize].name,
-            kind: PropertyKind::Always,
-            trace: trace_to(&nodes, s.gidx as usize),
-            end_state: nodes[s.gidx as usize].state.clone(),
-        });
-    }
-    if track_edges && coord.stop.is_none() {
-        ex.edges = vec![Vec::new(); distinct];
-        for origin in origins {
-            let org = origin.into_inner().expect("origin lock");
-            // One origin expanded any given parent, so each adjacency row
-            // fills from a single list segment, preserving action order.
-            for (from, to) in org.edge_pairs {
-                ex.edges[from as usize].push(to);
-            }
-        }
-    }
-    ex.nodes = nodes;
-    ex.expanded = coord.expanded;
-    ex.expanded.truncate(distinct);
-    ex
-}
-
-/// The hash-sharded parallel BFS engine (see the module docs). Layer by
-/// layer, tile by tile: Expand / Dedup / assign / Apply / Deliver, with
-/// small tiles running inline on the coordinator.
-fn explore_sharded<M>(
-    model: &M,
-    cfg: &CheckerConfig,
-    workers: usize,
-    safety: &[&Property<M>],
-    track_edges: bool,
-) -> Exploration<M>
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-    M::Action: Send + Sync,
-    M::Key: Send,
-{
-    let w = workers;
-    let eng = Engine {
-        model,
-        w,
-        track_edges,
-        safety,
-        shards: (0..w).map(|_| Mutex::new(Shard::new(w))).collect(),
-        origins: (0..w).map(|_| Mutex::new(Origin::new(w))).collect(),
-        arenas: (0..w).map(|_| RwLock::new(Vec::new())).collect(),
-        dir: RwLock::new(Vec::new()),
-    };
-    let mut coord = Coord {
-        nodes: 0,
-        // Global indices are u32; the directory could not address more.
-        budget: cfg.max_states.min(u32::MAX as usize - 1),
-        transitions: 0,
-        max_depth_reached: 0,
-        complete: true,
-        expanded: Vec::new(),
-        arena_len: vec![0; w],
-        stop: None,
-    };
-    // Under `PoolPolicy::Auto` on a host without real parallelism, keep the
-    // whole exploration on the coordinator: same shards, same admission
-    // order, same report — minus the routing/merge/barrier machinery that
-    // only pays for itself when workers genuinely run concurrently.
-    let pooled_ok = cfg.pool_enabled();
-    let pw = if pooled_ok { w } else { 1 };
-    let handler = |_worker: usize, phase: &Phase, item: usize| engine_worker(&eng, *phase, item);
-    sweep::pool_scope(pw, &handler, |pool| {
-        inline_inits(&eng, &mut coord, pooled_ok);
-        // Tiles bound how many parked successors exist before a merge: a
-        // multi-million-node layer at branching factor ~20 would otherwise
-        // materialise the whole next layer twice over.
-        let tile_len = ((w * 512).max(1024)) as u32;
-        let inline_below = (w * 4) as u32;
-        let mut lo = 0u32;
-        let mut hi = coord.nodes as u32;
-        let mut depth = 0u32;
-        'rounds: while lo < hi && coord.stop.is_none() {
-            coord.max_depth_reached = coord.max_depth_reached.max(depth);
-            if depth >= cfg.max_depth {
-                coord.complete = false;
-                break 'rounds;
-            }
-            let mut tlo = lo;
-            while tlo < hi {
-                let thi = (tlo + tile_len).min(hi);
-                if !pooled_ok {
-                    inline_tile_direct(&eng, &mut coord, tlo, thi, depth);
-                } else if thi - tlo < inline_below {
-                    inline_tile(&eng, &mut coord, tlo, thi, depth);
-                } else {
-                    pool.run(Phase::Expand { lo: tlo, hi: thi }, w, Dispatch::Affine);
-                    pool.run(Phase::Dedup, w, Dispatch::Affine);
-                    let (tile_base, admitted) = assign_tile(&eng, &mut coord);
-                    pool.run(Phase::Apply, w, Dispatch::Affine);
-                    pool.run(
-                        Phase::Deliver {
-                            child_depth: depth + 1,
-                        },
-                        w,
-                        Dispatch::Affine,
-                    );
-                    harvest_tile(&eng, &mut coord, tlo, thi, tile_base, &admitted);
-                }
-                if coord.stop.is_some() {
-                    break 'rounds;
-                }
-                tlo = thi;
-            }
-            lo = hi;
-            hi = coord.nodes as u32;
-            depth += 1;
-        }
-        if pooled_ok {
-            pool.run(Phase::Teardown, w, Dispatch::Affine);
-        } else {
-            // Inline exploration allocated everything on this thread; free
-            // the shard maps here too.
-            for si in 0..w {
-                teardown_shard(&eng, si);
-            }
-        }
-    });
-    finish(eng, coord)
-}
-
-// ---------------------------------------------------------------------------
-// Liveness: pooled reverse reachability
-// ---------------------------------------------------------------------------
-
-/// Plain-data commands for the liveness pool; per-round data is swapped
-/// through [`LiveShared`]'s owned slots rather than carried here.
-enum LiveCmd<M: Model> {
-    /// Scan node chunk `item` (chunk length `chunk`, `n` nodes total) for
-    /// states satisfying `pred`; deposit the hits in slot `item`.
-    Seeds {
-        pred: fn(&M, &M::State) -> bool,
-        n: u32,
-        chunk: u32,
-    },
-    /// Expand frontier chunk `item` over the reversed edges, collecting
-    /// unmarked predecessors into slot `item`.
-    Backward { chunk: u32 },
-}
-
-/// Shared read-mostly state for the liveness pool handler.
-struct LiveShared<'a, M: Model> {
-    model: &'a M,
-    nodes: &'a [Node<M>],
-    rev: &'a [Vec<u32>],
-    /// Swapped in by the coordinator for the duration of a pooled round.
-    marked: RwLock<Vec<bool>>,
-    /// Ditto: the current backward frontier.
-    frontier: RwLock<Vec<u32>>,
-    /// Per-chunk deposit slots — results concatenate in chunk order, so
-    /// steal scheduling cannot reorder them.
-    hits: Vec<Mutex<Vec<u32>>>,
-}
-
-fn live_worker<M: Model>(shared: &LiveShared<'_, M>, cmd: &LiveCmd<M>, item: usize) {
-    match *cmd {
-        LiveCmd::Seeds { pred, n, chunk } => {
-            let lo = item as u32 * chunk;
-            let hi = (lo + chunk).min(n);
-            let mut out = Vec::new();
-            for i in lo..hi {
-                if pred(shared.model, &shared.nodes[i as usize].state) {
-                    out.push(i);
-                }
-            }
-            *shared.hits[item].lock().expect("hits lock") = out;
-        }
-        LiveCmd::Backward { chunk } => {
-            let marked = shared.marked.read().expect("marked lock");
-            let frontier = shared.frontier.read().expect("frontier lock");
-            let lo = item * chunk as usize;
-            let hi = (lo + chunk as usize).min(frontier.len());
-            let mut out = Vec::new();
-            for &i in &frontier[lo..hi] {
-                for &p in &shared.rev[i as usize] {
-                    if !marked[p as usize] {
-                        out.push(p);
-                    }
-                }
-            }
-            *shared.hits[item].lock().expect("hits lock") = out;
-        }
-    }
-}
-
 /// Resolve every AG EF property over the explored graph by reverse
-/// reachability; bound-truncated regions are filed as undetermined. Goal
-/// seeding and large frontier rounds fan out over a persistent pool;
-/// rounds below [`sweep::parallel_worthwhile`] stay on the coordinator.
-fn resolve_liveness<M>(
-    model: &M,
-    ex: &mut Exploration<M>,
-    liveness: &[&Property<M>],
-    workers: usize,
-) where
-    M: Model + Sync,
-    M::State: Send + Sync,
-    M::Action: Sync,
-{
+/// reachability; bound-truncated regions are filed as undetermined.
+fn resolve_liveness<M: Model>(model: &M, ex: &mut Exploration<M>, liveness: &[&Property<M>]) {
     let Exploration {
         report,
         nodes,
         edges,
         expanded,
     } = ex;
-    let nodes: &[Node<M>] = nodes;
     let n = nodes.len();
     let mut rev: Vec<Vec<u32>> = vec![Vec::new(); n];
     for (from, succs) in edges.iter().enumerate() {
@@ -1649,141 +407,58 @@ fn resolve_liveness<M>(
             rev[to as usize].push(from as u32);
         }
     }
-    // "Unknown" region: states that can reach an unexpanded state may have
-    // had their path to the goal truncated.
-    let truncated_seeds: Vec<u32> = (0..n)
-        .filter(|&i| !expanded[i])
-        .map(|i| i as u32)
-        .collect();
-
-    let w = workers.max(1);
-    let nslots = w * CHUNKS_PER_WORKER;
-    let shared = LiveShared {
-        model,
-        nodes,
-        rev: &rev,
-        marked: RwLock::new(Vec::new()),
-        frontier: RwLock::new(Vec::new()),
-        hits: (0..nslots).map(|_| Mutex::new(Vec::new())).collect(),
-    };
-    let handler = |_worker: usize, cmd: &LiveCmd<M>, item: usize| live_worker(&shared, cmd, item);
-    sweep::pool_scope(w, &handler, |pool| {
-        let collect_hits = |nchunks: usize| -> Vec<u32> {
-            let mut out = Vec::new();
-            for slot in shared.hits.iter().take(nchunks) {
-                out.append(&mut slot.lock().expect("hits lock"));
-            }
-            out
-        };
-        // Indices of nodes satisfying `pred`, in index order.
-        let seed_hits = |pred: fn(&M, &M::State) -> bool| -> Vec<u32> {
-            if !sweep::parallel_worthwhile(n, w, LIVE_PRED_NS, sweep::POOL_DISPATCH_NS) {
-                return (0..n)
-                    .filter(|&i| pred(model, &nodes[i].state))
-                    .map(|i| i as u32)
-                    .collect();
-            }
-            let chunk = n.div_ceil(nslots).max(1);
-            let nchunks = n.div_ceil(chunk);
-            pool.run(
-                LiveCmd::Seeds {
-                    pred,
-                    n: n as u32,
-                    chunk: chunk as u32,
-                },
-                nchunks,
-                Dispatch::Steal,
-            );
-            collect_hits(nchunks)
-        };
-        // Mark the backward closure of `seeds` over the reversed edges.
-        // The final marked set is frontier-order independent, so every
-        // worker count (and the inline fallback) agrees.
-        let mark_backward = |seeds: Vec<u32>| -> Vec<bool> {
-            let mut marked = vec![false; n];
-            for &s in &seeds {
-                marked[s as usize] = true;
-            }
-            let mut frontier = seeds;
-            while !frontier.is_empty() {
-                let pooled = sweep::parallel_worthwhile(
-                    frontier.len(),
-                    w,
-                    LIVE_BACK_NS,
-                    sweep::POOL_DISPATCH_NS,
-                );
-                let candidates: Vec<u32> = if pooled {
-                    let len = frontier.len();
-                    let chunk = len.div_ceil(nslots).max(1);
-                    let nchunks = len.div_ceil(chunk);
-                    *shared.marked.write().expect("marked lock") = std::mem::take(&mut marked);
-                    *shared.frontier.write().expect("frontier lock") =
-                        std::mem::take(&mut frontier);
-                    pool.run(
-                        LiveCmd::Backward {
-                            chunk: chunk as u32,
-                        },
-                        nchunks,
-                        Dispatch::Steal,
-                    );
-                    marked = std::mem::take(&mut *shared.marked.write().expect("marked lock"));
-                    frontier =
-                        std::mem::take(&mut *shared.frontier.write().expect("frontier lock"));
-                    frontier.clear();
-                    collect_hits(nchunks)
-                } else {
-                    let out: Vec<u32> = frontier
-                        .iter()
-                        .flat_map(|&i| {
-                            shared.rev[i as usize]
-                                .iter()
-                                .copied()
-                                .filter(|&p| !marked[p as usize])
-                        })
-                        .collect();
-                    frontier.clear();
-                    out
-                };
-                for p in candidates {
-                    if !marked[p as usize] {
-                        marked[p as usize] = true;
-                        frontier.push(p);
-                    }
+    // Mark the backward closure of `seeds` over the reversed edges.
+    let mark_backward = |seeds: Vec<u32>| -> Vec<bool> {
+        let mut marked = vec![false; n];
+        for &s in &seeds {
+            marked[s as usize] = true;
+        }
+        let mut frontier = seeds;
+        while let Some(i) = frontier.pop() {
+            for &p in &rev[i as usize] {
+                if !marked[p as usize] {
+                    marked[p as usize] = true;
+                    frontier.push(p);
                 }
-            }
-            marked
-        };
-
-        let unknown = mark_backward(truncated_seeds);
-        for prop in liveness {
-            let good = mark_backward(seed_hits(prop.check));
-            let mut worst: Option<usize> = None;
-            for i in 0..n {
-                if good[i] {
-                    continue;
-                }
-                if unknown[i] {
-                    report.undetermined += 1;
-                } else {
-                    // Definite violation: fully explored closure, no goal.
-                    worst = match worst {
-                        Some(wi) if nodes[wi].depth <= nodes[i].depth => Some(wi),
-                        _ => Some(i),
-                    };
-                }
-            }
-            if let Some(i) = worst {
-                report.violations.push(Violation {
-                    property: prop.name,
-                    kind: PropertyKind::AlwaysEventually,
-                    trace: trace_to(nodes, i),
-                    end_state: nodes[i].state.clone(),
-                });
             }
         }
-    });
-}
+        marked
+    };
 
+    // "Unknown" region: states that can reach an unexpanded state may have
+    // had their path to the goal truncated.
+    let unknown = mark_backward((0..n as u32).filter(|&i| !expanded[i as usize]).collect());
+    for prop in liveness {
+        let good = mark_backward(
+            (0..n as u32)
+                .filter(|&i| (prop.check)(model, &nodes[i as usize].state))
+                .collect(),
+        );
+        let mut worst: Option<usize> = None;
+        for i in 0..n {
+            if good[i] {
+                continue;
+            }
+            if unknown[i] {
+                report.undetermined += 1;
+            } else {
+                // Definite violation: fully explored closure, no goal.
+                worst = match worst {
+                    Some(wi) if nodes[wi].depth <= nodes[i].depth => Some(wi),
+                    _ => Some(i),
+                };
+            }
+        }
+        if let Some(i) = worst {
+            report.violations.push(Violation {
+                property: prop.name,
+                kind: PropertyKind::AlwaysEventually,
+                trace: trace_to(nodes, i),
+                end_state: nodes[i].state.clone(),
+            });
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1853,17 +528,11 @@ mod tests {
         }
     }
 
-    /// A wide model: states are bitsets of `bits` bits, actions set any
-    /// unset bit, so layer `d` holds `C(bits, d)` states — enough breadth
-    /// to push the parallel engine through its threaded generation path.
-    /// Safety: the `forbidden` mask is never an exact state. AG EF: a
-    /// designated `goal` bit can always still be set (fails for states
-    /// where `goal` cannot be reached because the mask is full — never
-    /// happens — so the property holds; with `forbidden` on a mid-layer
-    /// state the safety side trips mid-exploration).
+    /// A wide model: states are bitsets of `bits` bits and actions set any
+    /// unset bit, so BFS layer `d` holds `C(bits, d)` states. AG EF: the
+    /// full set stays reachable (it always does).
     struct BitSpread {
         bits: u32,
-        forbidden: Option<u32>,
     }
 
     impl Model for BitSpread {
@@ -1892,39 +561,13 @@ mod tests {
         }
 
         fn properties(&self) -> Vec<Property<Self>> {
-            let mut props: Vec<Property<Self>> = vec![Property {
+            vec![Property {
                 name: "full-set-reachable",
                 kind: PropertyKind::AlwaysEventually,
                 check: |m, s| *s == (1u32 << m.bits) - 1,
-            }];
-            if self.forbidden.is_some() {
-                props.push(Property {
-                    name: "never-forbidden-mask",
-                    kind: PropertyKind::Always,
-                    check: |m, s| Some(*s) != m.forbidden,
-                });
-            }
-            props
+            }]
         }
     }
-
-    fn assert_reports_equal<M: Model>(a: &CheckReport<M>, b: &CheckReport<M>)
-    where
-        M::Action: PartialEq + std::fmt::Debug,
-    {
-        assert_eq!(a.distinct_states, b.distinct_states, "distinct states");
-        assert_eq!(a.transitions, b.transitions, "transitions");
-        assert_eq!(a.max_depth_reached, b.max_depth_reached, "max depth");
-        assert_eq!(a.complete, b.complete, "complete flag");
-        assert_eq!(a.undetermined, b.undetermined, "undetermined count");
-        assert_eq!(a.violations.len(), b.violations.len(), "violation count");
-        for (va, vb) in a.violations.iter().zip(&b.violations) {
-            assert_eq!(va.property, vb.property);
-            assert_eq!(va.kind, vb.kind);
-            assert_eq!(va.trace, vb.trace, "counterexample trace");
-        }
-    }
-
     #[test]
     fn bfs_finds_shortest_safety_counterexample() {
         let m = Counter {
@@ -2050,116 +693,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_bfs_is_byte_identical_on_wide_clean_model() {
-        // 2^16 states, widest layer C(16,8) = 12870 — wide enough that the
-        // threaded generation path (not the small-layer inline path) runs.
-        let m = BitSpread {
-            bits: 16,
-            forbidden: None,
-        };
-        let seq = check(&m, &CheckerConfig::default().with_workers(1));
-        assert!(seq.complete && seq.passed());
-        assert_eq!(seq.distinct_states, 1 << 16);
-        for workers in [2, 4, 8] {
-            let par = check(&m, &forced().with_workers(workers));
-            assert_reports_equal(&seq, &par);
-        }
-    }
-
-    /// Parallel-engine test configs force the pool so the pooled phases run
-    /// even on a 1-core CI host (where `Auto` would inline everything).
-    fn forced() -> CheckerConfig {
-        CheckerConfig::default().with_pool_policy(PoolPolicy::Forced)
-    }
-
-    #[test]
-    fn parallel_bfs_matches_sequential_on_violation_stop() {
-        // A mid-layer forbidden state: both engines must stop at the same
-        // admission, yielding identical distinct-state counts and the
-        // same shortest trace.
-        let m = BitSpread {
-            bits: 12,
-            forbidden: Some(0b0000_0101_0011),
-        };
-        let seq = check(&m, &CheckerConfig::default().with_workers(1));
-        assert!(!seq.passed());
-        for workers in [2, 4] {
-            let par = check(&m, &forced().with_workers(workers));
-            assert_reports_equal(&seq, &par);
-        }
-    }
-
-    #[test]
-    fn parallel_bfs_matches_sequential_under_state_budget() {
-        let m = BitSpread {
-            bits: 14,
-            forbidden: None,
-        };
-        for max_states in [1, 100, 1_000, 5_000] {
-            let cfg = CheckerConfig::default().with_max_states(max_states);
-            let seq = check(&m, &cfg.with_workers(1));
-            let par = check(&m, &cfg.with_pool_policy(PoolPolicy::Forced).with_workers(4));
-            assert_reports_equal(&seq, &par);
-        }
-    }
-
-    #[test]
-    fn parallel_bfs_matches_sequential_under_depth_bound() {
-        let m = BitSpread {
-            bits: 14,
-            forbidden: None,
-        };
-        for max_depth in [0, 1, 3, 7] {
-            let cfg = CheckerConfig::default().with_max_depth(max_depth);
-            let seq = check(&m, &cfg.with_workers(1));
-            let par = check(&m, &cfg.with_pool_policy(PoolPolicy::Forced).with_workers(3));
-            assert_reports_equal(&seq, &par);
-        }
-    }
-
-    #[test]
-    fn with_workers_zero_is_sequential() {
-        let cfg = CheckerConfig::default().with_workers(0);
-        assert_eq!(cfg.workers, 1);
-    }
-
-    #[test]
-    fn default_workers_track_available_parallelism() {
-        // On a 1-core runner the default must be the sequential engine —
-        // multi-worker coordination there is pure overhead (ISSUE 8).
-        // lint:allow(sim-os-env): the test pins that the default follows the host's parallelism, including the 1-core clamp
-        let host = std::thread::available_parallelism().map_or(1, |p| p.get());
-        assert_eq!(CheckerConfig::default().workers, host);
-    }
-
-    #[test]
-    fn state_budget_boundary_is_shard_order_independent() {
+    fn state_budget_boundary_pins_count_at_layer_edges() {
         // Budgets straddling BFS layer boundaries of the bits=14 model
-        // (cumulative layer sizes 1, 15, 106, 470, 1471): the admission
-        // prefix must be the sequential one no matter how the tile's novel
-        // keys are distributed across shards — the coordinator assigns
-        // indices in global (parent, action) order, not shard order.
-        let m = BitSpread {
-            bits: 14,
-            forbidden: None,
-        };
+        // (cumulative layer sizes 1, 15, 106, 470, 1471): the budget pins
+        // the distinct-state count exactly, wherever it falls in a layer.
+        let m = BitSpread { bits: 14 };
         for max_states in [14, 15, 16, 105, 106, 107, 470, 1470, 1471, 1472] {
-            let cfg = CheckerConfig::default().with_max_states(max_states);
-            let seq = check(&m, &cfg.with_workers(1));
-            assert_eq!(seq.distinct_states, max_states, "budget pins the count");
-            assert!(!seq.complete);
-            for workers in [2, 3, 5, 8] {
-                let par = check(
-                    &m,
-                    &cfg.with_pool_policy(PoolPolicy::Forced).with_workers(workers),
-                );
-                assert_reports_equal(&seq, &par);
-            }
+            let r = check(&m, &CheckerConfig::default().with_max_states(max_states));
+            assert_eq!(r.distinct_states, max_states, "budget pins the count");
+            assert!(!r.complete);
+            assert!(r.passed(), "truncation is undetermined, never a violation");
         }
     }
 
     #[test]
-    fn parallel_matches_sequential_on_initial_state_violation() {
+    fn initial_state_violation_has_empty_trace() {
         // The forbidden value is the initial state itself: the violation
         // must be caught before any expansion, with an empty trace.
         let m = Counter {
@@ -2168,42 +716,10 @@ mod tests {
             sink_at: None,
             down: true,
         };
-        let seq = check(&m, &CheckerConfig::default().with_workers(1));
-        assert!(!seq.passed());
-        assert_eq!(seq.violations[0].trace.len(), 0);
-        assert_eq!(seq.transitions, 0);
-        for workers in [2, 4] {
-            let par = check(&m, &forced().with_workers(workers));
-            assert_reports_equal(&seq, &par);
-        }
-    }
-
-    #[test]
-    fn pool_policy_auto_matches_forced_and_sequential() {
-        // The pool policy selects an execution engine, never a semantics:
-        // whatever Auto resolves to on this host, its report must equal
-        // both the forced-pool report and the sequential one.
-        let m = BitSpread {
-            bits: 14,
-            forbidden: Some(0b01_0011_0101_0011),
-        };
-        for cfg in [
-            CheckerConfig::default(),
-            CheckerConfig::default().with_max_states(300),
-        ] {
-            let seq = check(&m, &cfg.with_workers(1));
-            for workers in [2, 4] {
-                let auto = check(
-                    &m,
-                    &cfg.with_pool_policy(PoolPolicy::Auto).with_workers(workers),
-                );
-                let pooled = check(
-                    &m,
-                    &cfg.with_pool_policy(PoolPolicy::Forced).with_workers(workers),
-                );
-                assert_reports_equal(&seq, &auto);
-                assert_reports_equal(&seq, &pooled);
-            }
-        }
+        let r = check(&m, &CheckerConfig::default());
+        assert!(!r.passed());
+        assert_eq!(r.violations[0].trace.len(), 0);
+        assert_eq!(r.transitions, 0);
+        assert_eq!(r.distinct_states, 1);
     }
 }

@@ -56,7 +56,7 @@ pub mod model;
 pub mod replication_model;
 pub mod session_model;
 
-pub use explore::{check, CheckReport, CheckerConfig, PoolPolicy, Strategy, Violation};
+pub use explore::{check, CheckReport, CheckerConfig, Strategy, Violation};
 pub use lease_model::{LeaseConfig, LeaseModel};
 pub use model::{Model, Property, PropertyKind};
 pub use replication_model::{AnyNodeServes, ReplConfig, ReplModel};

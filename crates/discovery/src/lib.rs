@@ -26,9 +26,6 @@
 //!
 //! PR 9 makes the registrar replicated and persistent:
 //!
-//! * [`shard`] — the lease table split into hash-routed
-//!   [`registry::ServiceRegistry`] shards with order-preserving merges, so
-//!   sharding is unobservable in any output.
 //! * [`replication`] — log-shipped lease replication between registrars:
 //!   epoch-owned primaries, majority commit, and election on lease timeout
 //!   (at most one active primary per epoch by construction).
@@ -53,7 +50,6 @@ pub mod flap;
 pub mod proxy;
 pub mod registry;
 pub mod replication;
-pub mod shard;
 pub mod snapshot;
 
 pub use cluster::ReplicatedRegistrarApp;
@@ -65,5 +61,4 @@ pub use replication::{
     ClientAck, ClusterConfig, DurableState, Effect, LogEntry, RepMsg, RepOp, RepStats,
     ReplicaNode, Role, PROTO_REPLICATION,
 };
-pub use shard::ShardedRegistry;
 pub use snapshot::{LeaseSnapshot, SNAPSHOT_VERSION};

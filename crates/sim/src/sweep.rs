@@ -1,4 +1,4 @@
-//! Parallel parameter sweeps and the persistent worker pool.
+//! Parallel parameter sweeps.
 //!
 //! The experiment harnesses run many *independent* simulations (one per
 //! parameter point × seed). Following the data-parallel idiom of the
@@ -21,33 +21,8 @@
 //! [`run_hinted`] applies it to one-shot sweeps; [`run_with_threads`]
 //! assumes whole-simulation items (≥ ~1 ms) and therefore parallelises
 //! essentially whenever it has more items than nothing.
-//!
-//! ## The persistent pool
-//!
-//! [`pool_scope`] keeps one set of workers alive across many dispatches —
-//! for phase-structured engines (the model checker's sharded explorer) that
-//! would otherwise spawn and join a fresh scope per frontier tile. Two
-//! things distinguish it from [`run`]:
-//!
-//! * **One handler, many commands.** The worker closure is fixed when the
-//!   pool is created; each [`PoolHandle::run`] broadcasts a plain-data
-//!   command to it. This sidesteps the `'static`/type-erasure problem of
-//!   safe Rust thread pools: the handler may borrow anything created
-//!   *before* the pool, and commands carry only indices and bounds.
-//! * **Stable worker↔item affinity.** [`Dispatch::Affine`] hands item `i`
-//!   to worker `i`, every time. An engine that partitions its state by
-//!   worker index therefore touches each partition from one OS thread
-//!   only — which keeps every allocation's birth and death on the same
-//!   thread, the property that makes sharded exploration scale (see
-//!   DESIGN.md §12: cross-thread free churn was the old engine's 3x
-//!   overhead).
-//!
-//! The calling thread participates as worker 0, so `workers == 1` runs
-//! everything inline with zero threads spawned.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 
 /// Run `f` over every item of `params`, in parallel, preserving input order
 /// in the result vector.
@@ -80,15 +55,10 @@ const SWEEP_ITEM_DEFAULT_NS: u64 = 1_000_000;
 /// against when the mechanism is a fresh scope per call.
 pub const SPAWN_DISPATCH_NS: u64 = 60_000;
 
-/// Per-worker cost of one [`PoolHandle::run`] dispatch (condvar wake +
-/// barrier). Much cheaper than a spawn, which is the pool's point — but
-/// still worth skipping for sub-microsecond rounds.
-pub const POOL_DISPATCH_NS: u64 = 8_000;
-
 /// The shared cost model for "should this fan out?": true when the total
 /// estimated work is at least 4x the dispatch overhead of putting all
-/// `workers` on it. Callers pass the dispatch constant matching their
-/// mechanism ([`SPAWN_DISPATCH_NS`] or [`POOL_DISPATCH_NS`]); the factor 4
+/// `workers` on it. Callers pass the per-worker dispatch cost of their
+/// mechanism (a fresh scope costs [`SPAWN_DISPATCH_NS`]); the factor 4
 /// demands a clear win before paying coordination cost, since the estimate
 /// is rough and a wrong "sequential" costs only the unrealised speedup
 /// while a wrong "parallel" costs wall-clock outright.
@@ -120,9 +90,8 @@ where
 /// As [`run_with_threads`], with a caller-supplied per-item cost estimate
 /// in nanoseconds. Falls back to the plain sequential loop whenever
 /// [`parallel_worthwhile`] says a fresh thread scope cannot pay for
-/// itself — tiny rounds (a liveness frontier of a few hundred nodes, a
-/// handful of cheap closures) must not spawn threads for microseconds of
-/// work. The output is identical either way: results in input order.
+/// itself — tiny rounds (a few hundred sub-microsecond items, a handful
+/// of cheap closures) must not spawn threads for microseconds of work. The output is identical either way: results in input order.
 pub fn run_hinted<P, R, F>(params: &[P], workers: usize, est_ns_per_item: u64, f: F) -> Vec<R>
 where
     P: Sync,
@@ -150,7 +119,7 @@ where
             .map(|_| {
                 let next = &next;
                 let f = &f;
-                // lint:allow(sim-thread-spawn): workers only race for input indices; results are merged into `slots` by index after join, so the output is scheduling-independent (pinned by sweep tests and check's parallel_equivalence proptests)
+                // lint:allow(sim-thread-spawn): workers only race for input indices; results are merged into `slots` by index after join, so the output is scheduling-independent (pinned by the sweep tests)
                 scope.spawn(move || {
                     let mut local: Vec<(usize, R)> = Vec::new();
                     loop {
@@ -176,236 +145,6 @@ where
         .into_iter()
         .map(|s| s.expect("every sweep slot filled"))
         .collect()
-}
-
-/// How a [`PoolHandle::run`] spreads its items over the workers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Dispatch {
-    /// Item `i` runs on worker `i` — requires `items <= workers`. The
-    /// assignment is identical on every dispatch, so per-worker state
-    /// (shards, arenas) is only ever touched from one OS thread.
-    Affine,
-    /// Workers race for items over a shared counter — best for chunked
-    /// scans where item costs are uneven and no state is worker-owned.
-    /// Results must be deposited per-*item* to stay order-deterministic.
-    Steal,
-}
-
-/// One broadcast command: the shared `Arc` lets every worker (and the
-/// caller) execute against the same command value without re-locking.
-struct PoolJob<C> {
-    cmd: Arc<C>,
-    items: usize,
-    dispatch: Dispatch,
-}
-
-impl<C> Clone for PoolJob<C> {
-    fn clone(&self) -> Self {
-        PoolJob {
-            cmd: Arc::clone(&self.cmd),
-            items: self.items,
-            dispatch: self.dispatch,
-        }
-    }
-}
-
-struct PoolState<C> {
-    /// Bumped per dispatch; workers run a job exactly once per epoch.
-    epoch: u64,
-    job: Option<PoolJob<C>>,
-    /// Spawned workers (not the caller) that finished the current epoch.
-    finished: usize,
-    panicked: bool,
-    shutdown: bool,
-}
-
-struct PoolCore<C> {
-    state: Mutex<PoolState<C>>,
-    start: Condvar,
-    done: Condvar,
-    next: AtomicUsize,
-}
-
-/// Handle to a live [`pool_scope`] pool: dispatch commands with
-/// [`PoolHandle::run`].
-pub struct PoolHandle<'a, C, H> {
-    core: &'a PoolCore<C>,
-    handler: &'a H,
-    workers: usize,
-}
-
-impl<C, H> PoolHandle<'_, C, H>
-where
-    C: Send + Sync,
-    H: Fn(usize, &C, usize) + Sync,
-{
-    /// Number of workers in the pool (including the calling thread).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Broadcast `cmd` and block until every worker has processed its
-    /// share of `items`. The calling thread participates as worker 0.
-    /// Panics (after the epoch fully drains, so shared state is quiescent)
-    /// if any worker's handler panicked.
-    pub fn run(&self, cmd: C, items: usize, dispatch: Dispatch) {
-        if items == 0 {
-            return;
-        }
-        if dispatch == Dispatch::Affine {
-            assert!(
-                items <= self.workers,
-                "affine dispatch requires items <= workers"
-            );
-        }
-        let job = PoolJob {
-            cmd: Arc::new(cmd),
-            items,
-            dispatch,
-        };
-        if self.workers == 1 {
-            run_job(self.handler, 0, &job, &self.core.next);
-            return;
-        }
-        {
-            let mut st = self.core.state.lock().expect("pool state lock");
-            self.core.next.store(0, Ordering::Relaxed);
-            st.epoch += 1;
-            st.finished = 0;
-            st.job = Some(job.clone());
-            self.core.start.notify_all();
-        }
-        let mine = catch_unwind(AssertUnwindSafe(|| {
-            run_job(self.handler, 0, &job, &self.core.next)
-        }));
-        let mut st = self.core.state.lock().expect("pool state lock");
-        while st.finished < self.workers - 1 {
-            st = self.core.done.wait(st).expect("pool done wait");
-        }
-        st.job = None;
-        let worker_panicked = std::mem::take(&mut st.panicked);
-        drop(st);
-        if let Err(payload) = mine {
-            resume_unwind(payload);
-        }
-        assert!(!worker_panicked, "pool worker panicked");
-    }
-}
-
-fn run_job<C, H>(handler: &H, worker: usize, job: &PoolJob<C>, next: &AtomicUsize)
-where
-    H: Fn(usize, &C, usize),
-{
-    match job.dispatch {
-        Dispatch::Affine => {
-            if worker < job.items {
-                handler(worker, &job.cmd, worker);
-            }
-        }
-        Dispatch::Steal => loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= job.items {
-                break;
-            }
-            handler(worker, &job.cmd, i);
-        },
-    }
-}
-
-fn worker_loop<C, H>(core: &PoolCore<C>, handler: &H, worker: usize, workers: usize)
-where
-    H: Fn(usize, &C, usize),
-{
-    let mut seen_epoch = 0u64;
-    loop {
-        let job = {
-            let mut st = core.state.lock().expect("pool state lock");
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch != seen_epoch {
-                    seen_epoch = st.epoch;
-                    break st.job.clone().expect("job set whenever epoch advances");
-                }
-                st = core.start.wait(st).expect("pool start wait");
-            }
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_job(handler, worker, &job, &core.next)
-        }));
-        let mut st = core.state.lock().expect("pool state lock");
-        if outcome.is_err() {
-            st.panicked = true;
-        }
-        st.finished += 1;
-        if st.finished >= workers - 1 {
-            core.done.notify_one();
-        }
-    }
-}
-
-/// Wakes the workers out of their command wait when the body finishes —
-/// including by panic, so the scope join below can never deadlock.
-struct PoolShutdown<'a, C>(&'a PoolCore<C>);
-
-impl<C> Drop for PoolShutdown<'_, C> {
-    fn drop(&mut self) {
-        let mut st = self.0.state.lock().expect("pool state lock");
-        st.shutdown = true;
-        self.0.start.notify_all();
-    }
-}
-
-/// Keep `workers - 1` threads alive for the duration of `body`, all
-/// running `handler` against whatever commands `body` dispatches through
-/// the [`PoolHandle`]. The handler is fixed at pool creation and may
-/// borrow anything outlived by this call; commands (`C`) are typically
-/// plain enums of bounds and indices. See the module docs for why this
-/// shape (rather than a closure-per-dispatch pool) and when the stable
-/// [`Dispatch::Affine`] worker↔item mapping matters.
-pub fn pool_scope<C, H, R>(
-    workers: usize,
-    handler: &H,
-    body: impl FnOnce(&PoolHandle<'_, C, H>) -> R,
-) -> R
-where
-    C: Send + Sync,
-    H: Fn(usize, &C, usize) + Sync,
-{
-    let workers = workers.max(1);
-    let core = PoolCore {
-        state: Mutex::new(PoolState {
-            epoch: 0,
-            job: None,
-            finished: 0,
-            panicked: false,
-            shutdown: false,
-        }),
-        start: Condvar::new(),
-        done: Condvar::new(),
-        next: AtomicUsize::new(0),
-    };
-    if workers == 1 {
-        return body(&PoolHandle {
-            core: &core,
-            handler,
-            workers,
-        });
-    }
-    std::thread::scope(|scope| {
-        for w in 1..workers {
-            let core = &core;
-            // lint:allow(sim-thread-spawn): pool workers execute the fixed handler on barrier-separated phases; affine dispatch pins item i to worker i and steal dispatch deposits per-item, so results are scheduling-independent (pinned by the pool tests and check's parallel_equivalence proptests)
-            scope.spawn(move || worker_loop(core, handler, w, workers));
-        }
-        let _shutdown = PoolShutdown(&core);
-        body(&PoolHandle {
-            core: &core,
-            handler,
-            workers,
-        })
-    })
 }
 
 /// Cartesian product of two parameter axes, row-major (`a` outer, `b`
@@ -507,12 +246,8 @@ mod tests {
         // A liveness-style round: a few hundred ~100ns items never justify
         // a spawn (the old engine's workers*64 threshold got this wrong).
         assert!(!parallel_worthwhile(300, 4, 100, SPAWN_DISPATCH_NS));
-        // The same round through the persistent pool at 4 workers needs
-        // 4 * 8µs * 4 = 128µs of work: 1280 nodes at 100ns pays, 1279 not.
-        assert!(parallel_worthwhile(1280, 4, 100, POOL_DISPATCH_NS));
-        assert!(!parallel_worthwhile(1279, 4, 100, POOL_DISPATCH_NS));
         // Saturation, not overflow, on absurd estimates.
-        assert!(parallel_worthwhile(usize::MAX, 2, u64::MAX, POOL_DISPATCH_NS));
+        assert!(parallel_worthwhile(usize::MAX, 2, u64::MAX, SPAWN_DISPATCH_NS));
     }
 
     #[test]
@@ -541,111 +276,6 @@ mod tests {
             p * 3
         });
         assert_eq!(out, params.iter().map(|p| p * 3).collect::<Vec<_>>());
-    }
-
-    // -- persistent pool ---------------------------------------------------
-
-    #[test]
-    fn pool_affine_runs_item_i_on_worker_i() {
-        // Item i must always land on worker i — record the pairing.
-        let pairs = Mutex::new(Vec::new());
-        let handler = |worker: usize, cmd: &u32, item: usize| {
-            pairs.lock().unwrap().push((*cmd, worker, item));
-        };
-        pool_scope(3, &handler, |pool| {
-            for round in 0..50u32 {
-                pool.run(round, 3, Dispatch::Affine);
-            }
-        });
-        let pairs = pairs.into_inner().unwrap();
-        assert_eq!(pairs.len(), 150);
-        assert!(pairs.iter().all(|&(_, w, i)| w == i));
-    }
-
-    #[test]
-    fn pool_steal_covers_every_item_exactly_once() {
-        let hits: Vec<AtomicU64> = (0..500).map(|_| AtomicU64::new(0)).collect();
-        let handler = |_w: usize, _cmd: &(), item: usize| {
-            hits[item].fetch_add(1, Ordering::Relaxed);
-        };
-        pool_scope(4, &handler, |pool| {
-            pool.run((), 500, Dispatch::Steal);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn pool_single_worker_runs_inline() {
-        let caller = std::thread::current().id();
-        let ok = AtomicU64::new(0);
-        let handler = |_w: usize, _cmd: &(), _item: usize| {
-            if std::thread::current().id() == caller {
-                ok.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        pool_scope(1, &handler, |pool| {
-            pool.run((), 7, Dispatch::Steal);
-        });
-        assert_eq!(ok.load(Ordering::Relaxed), 7);
-    }
-
-    #[test]
-    fn pool_worker_affinity_is_stable_across_dispatches() {
-        // The thread identity behind each affine item must never change:
-        // this is the allocation-locality guarantee the sharded explorer
-        // leans on (items own allocator-heavy state).
-        let ids: Vec<Mutex<HashSet<std::thread::ThreadId>>> =
-            (0..4).map(|_| Mutex::new(HashSet::new())).collect();
-        let handler = |_w: usize, _cmd: &(), item: usize| {
-            ids[item]
-                .lock()
-                .unwrap()
-                .insert(std::thread::current().id());
-        };
-        pool_scope(4, &handler, |pool| {
-            for _ in 0..100 {
-                pool.run((), 4, Dispatch::Affine);
-            }
-        });
-        for slot in &ids {
-            assert_eq!(slot.lock().unwrap().len(), 1, "item migrated threads");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "pool worker panicked")]
-    fn pool_worker_panic_propagates_to_caller() {
-        let handler = |worker: usize, _cmd: &(), _item: usize| {
-            if worker != 0 {
-                panic!("boom");
-            }
-        };
-        pool_scope(2, &handler, |pool| {
-            // Steal with many items so worker 1 is guaranteed a slice...
-            // actually affine pins one item on worker 1 deterministically.
-            pool.run((), 2, Dispatch::Affine);
-        });
-    }
-
-    #[test]
-    fn pool_commands_see_results_of_prior_dispatches() {
-        // A dispatch is a full barrier: phase N+1 reads what N wrote.
-        let cells: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
-        let handler = |_w: usize, cmd: &u64, item: usize| match cmd {
-            1 => {
-                cells[item].store(item as u64 + 10, Ordering::Relaxed);
-            }
-            _ => {
-                let prev = cells[item].load(Ordering::Relaxed);
-                cells[item].store(prev * 2, Ordering::Relaxed);
-            }
-        };
-        pool_scope(4, &handler, |pool| {
-            pool.run(1u64, 4, Dispatch::Affine);
-            pool.run(2u64, 4, Dispatch::Affine);
-        });
-        let vals: Vec<u64> = cells.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        assert_eq!(vals, vec![20, 22, 24, 26]);
     }
 
     #[test]

@@ -15,13 +15,12 @@
 //!
 //! The full sweep covers ~4.5M distinct states across the three fixpoint
 //! runs plus a 600k-state bounded prefix of the replication space (a few
-//! minutes single-threaded; successor generation parallelises across
-//! cores by default — see DESIGN.md §12).
+//! minutes on one core; the checker is sequential — see DESIGN.md §12).
 //!
 //! ```text
 //! cargo run --release --example model_check            # full sweep (~4.5M states)
 //! cargo run --release --example model_check -- --smoke # CI gate (50k states)
-//! cargo run --release --example model_check -- --max-states 200000 --workers 4
+//! cargo run --release --example model_check -- --max-states 200000
 //! ```
 
 use aroma_check::{
@@ -41,7 +40,7 @@ fn parse_config() -> CheckerConfig {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--smoke" => cfg = CheckerConfig::smoke().with_workers(cfg.workers),
+            "--smoke" => cfg = CheckerConfig::smoke(),
             "--max-states" => {
                 let n = args
                     .next()
@@ -49,16 +48,9 @@ fn parse_config() -> CheckerConfig {
                     .expect("--max-states takes a number");
                 cfg = cfg.with_max_states(n);
             }
-            "--workers" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers takes a thread count");
-                cfg = cfg.with_workers(n);
-            }
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!("usage: model_check [--smoke] [--max-states N] [--workers N]");
+                eprintln!("usage: model_check [--smoke] [--max-states N]");
                 std::process::exit(2);
             }
         }
@@ -67,13 +59,7 @@ fn parse_config() -> CheckerConfig {
 }
 
 /// Run a model expected to satisfy every property; returns distinct states.
-fn verify<M>(name: &str, model: &M, cfg: &CheckerConfig, failures: &mut u32) -> usize
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-    M::Action: Send + Sync,
-    M::Key: Send,
-{
+fn verify<M: Model>(name: &str, model: &M, cfg: &CheckerConfig, failures: &mut u32) -> usize {
     let start = Instant::now();
     let report = check(model, cfg);
     let secs = start.elapsed().as_secs_f64();
@@ -94,19 +80,14 @@ where
 }
 
 /// Run a model expected to violate `property`; print its counterexample.
-fn demonstrate<M>(
+fn demonstrate<M: Model>(
     name: &str,
     model: &M,
     cfg: &CheckerConfig,
     property: &str,
     max_len: usize,
     failures: &mut u32,
-) where
-    M: Model + Sync,
-    M::State: Send + Sync,
-    M::Action: Send + Sync,
-    M::Key: Send,
-{
+) {
     let report = check(model, cfg);
     println!("== {name} (seeded fault — expecting a counterexample)");
     match report.violations.iter().find(|v| v.property == property) {
@@ -134,8 +115,8 @@ fn main() {
     let cfg = parse_config();
     let mut failures = 0u32;
     println!(
-        "aroma-check: exhaustive exploration (max {} states, max depth {}, {} worker(s))\n",
-        cfg.max_states, cfg.max_depth, cfg.workers
+        "aroma-check: exhaustive exploration (max {} states, max depth {})\n",
+        cfg.max_states, cfg.max_depth
     );
 
     // -- Headline verification runs: the shipped policies, proven. --------

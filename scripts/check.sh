@@ -2,10 +2,9 @@
 # Full local gate: release build, the workspace test suite (the root
 # manifest's default-members span every crate), warning-free workspace
 # clippy, `repro all` diffed against its committed golden output, the
-# model checker in smoke mode (bounded exhaustive sweep of the session,
-# lease, and registrar-replication protocols — see DESIGN.md §9/§15) run
-# sequentially and with 2 and 4 workers and diffed (the sharded engine's
-# determinism contract, DESIGN.md §12), one traced smoke experiment
+# model checker in smoke mode (a bounded 50k-state exhaustive sweep of the
+# session, lease, and registrar-replication protocols — see DESIGN.md
+# §9/§15) with every property verified, one traced smoke experiment
 # exercising the telemetry pipeline end to end (DESIGN.md §10), the
 # fixed-seed E9 chaos walkthrough — every layer recovered within its
 # deadline, zero stale lookups through the registrar-churn storm, and the
@@ -23,23 +22,14 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Parallel-determinism gate: the 50k-state smoke sweep must print the
-# byte-identical report at 1, 2, and 4 workers (only the
-# wall-clock-dependent transitions/s figure is stripped before the diff).
-strip_rates='s/([0-9]* transitions\/s)//; s/, [0-9]* worker(s))/)/'
-seq_out=$(cargo run --release --example model_check -- --max-states 50000 --workers 1 \
-  | sed "$strip_rates")
-for workers in 2 4; do
-  par_out=$(cargo run --release --example model_check -- --max-states 50000 --workers "$workers" \
-    | sed "$strip_rates")
-  diff <(printf '%s\n' "$seq_out") <(printf '%s\n' "$par_out") \
-    || { echo "FAIL: model-check report at $workers workers diverges from sequential"; exit 1; }
-done
-printf '%s\n' "$seq_out" | grep -q 'model_check: all protocol properties verified'
+# Model-check smoke gate: the 50k-state sweep must verify every protocol
+# property.
+mc_out=$(cargo run --release --example model_check -- --max-states 50000)
+grep -q 'model_check: all protocol properties verified' <<<"$mc_out"
 # The smoke sweep must include the replication model with zero violations
 # (the PR 9 safety gate: at-most-one-active-primary, no-committed-lease-
 # lost, no-stale-lookup over the bounded interleaving sweep).
-printf '%s\n' "$seq_out" | grep -q 'replication protocol'
+grep -q 'replication protocol' <<<"$mc_out"
 
 # Capture before grepping: `… | grep -q` closes the pipe at the first
 # match and the producer's remaining println!s die on EPIPE — a race that
