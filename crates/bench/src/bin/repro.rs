@@ -160,40 +160,17 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Experiments are independent; run them concurrently but print in the
-    // requested order as results arrive (a worker per experiment, results
-    // funnelled over a channel, reordered by index).
-    let outputs = parking_lot::Mutex::new(vec![None; ids.len()]);
-    let (tx, rx) = crossbeam::channel::unbounded::<usize>();
-    crossbeam::thread::scope(|scope| {
-        for (i, id) in ids.iter().enumerate() {
-            let tx = tx.clone();
-            let outputs = &outputs;
-            scope.spawn(move |_| {
-                let out = experiments::run_with(id, opts).expect("validated above");
-                outputs.lock()[i] = Some(out);
-                let _ = tx.send(i);
-            });
+    // Experiments are independent: run them as one parallel sweep and
+    // print in the requested order.
+    let outputs = aroma_sim::sweep::run(&ids, |_, id| {
+        experiments::run_with(id, opts).expect("validated above")
+    });
+    if json {
+        let docs = outputs.iter().map(|out| out.json()).collect();
+        println!("{}", aroma_sim::report::Json::Arr(docs).render());
+    } else {
+        for out in &outputs {
+            println!("{}", out.render());
         }
-        drop(tx);
-        let mut done = vec![false; ids.len()];
-        let mut next = 0usize;
-        let mut json_outputs = Vec::new();
-        while let Ok(i) = rx.recv() {
-            done[i] = true;
-            while next < ids.len() && done[next] {
-                let out = outputs.lock()[next].take().expect("marked done");
-                if json {
-                    json_outputs.push(out.json());
-                } else {
-                    println!("{}", out.render());
-                }
-                next += 1;
-            }
-        }
-        if json {
-            println!("{}", aroma_sim::report::Json::Arr(json_outputs).render());
-        }
-    })
-    .expect("experiment worker panicked");
+    }
 }

@@ -33,7 +33,7 @@ use aroma_net::{Address, MacConfig, NetApp, NetCtx, Network, NodeConfig, NodeId}
 use aroma_sim::faults::FaultSchedule;
 use aroma_sim::report::{fmt_f, Table};
 use aroma_sim::telemetry::{Snapshot, TelemetryConfig, TraceEvent};
-use aroma_sim::SimDuration;
+use aroma_sim::{SimDuration, SimTime};
 use aroma_vnc::SlideDeck;
 use bytes::Bytes;
 use smart_projector::laptop::{PresenterLaptopApp, PresenterScript};
@@ -117,6 +117,11 @@ pub struct ChaosRun {
 
 const S: u64 = 1_000_000_000;
 
+/// The instant `s` whole seconds into the run.
+fn at_s(s: u64) -> SimTime {
+    SimTime::from_nanos(s * S)
+}
+
 /// First event named `name` at or after `from_nanos` that satisfies `pred`,
 /// as seconds.
 fn first_after(
@@ -135,16 +140,16 @@ fn first_after(
 pub fn chaos_run(seed: u64) -> ChaosRun {
     let schedule = FaultSchedule::builder(seed)
         .process_kill_restart(
-            storm::REGISTRAR_KILL_S * S,
-            storm::REGISTRAR_RESTART_S * S,
+            at_s(storm::REGISTRAR_KILL_S),
+            at_s(storm::REGISTRAR_RESTART_S),
             0, // primary registrar, added first below
         )
         .crash_restart(
-            storm::PROJECTOR_CRASH_S * S,
-            storm::PROJECTOR_RESTART_S * S,
+            at_s(storm::PROJECTOR_CRASH_S),
+            at_s(storm::PROJECTOR_RESTART_S),
             2, // projector adapter
         )
-        .burst_loss(storm::BURST_START_S * S, storm::BURST_END_S * S, storm::BURST_LOSS)
+        .burst_loss(at_s(storm::BURST_START_S), at_s(storm::BURST_END_S), storm::BURST_LOSS)
         .build();
 
     let mut net = Network::new(clean_env(), MacConfig::default(), seed);
@@ -411,8 +416,8 @@ pub fn churn_run(seed: u64) -> ChurnRun {
     // `try_build` (not `build`): the storm script is exactly the kind of
     // hand-written schedule the overlap check exists for.
     let schedule = FaultSchedule::builder(seed ^ 0xC0)
-        .process_kill_restart(churn::REPLICA_KILL_S * S, churn::REPLICA_RESTART_S * S, 2)
-        .process_kill_restart(churn::PRIMARY_KILL_S * S, churn::PRIMARY_RESTART_S * S, 0)
+        .process_kill_restart(at_s(churn::REPLICA_KILL_S), at_s(churn::REPLICA_RESTART_S), 2)
+        .process_kill_restart(at_s(churn::PRIMARY_KILL_S), at_s(churn::PRIMARY_RESTART_S), 0)
         .try_build()
         .expect("churn storm intervals are disjoint per node");
 

@@ -10,7 +10,7 @@
 
 use crate::faculty::Faculties;
 use crate::mental::StateMachine;
-use aroma_sim::telemetry::{Layer, Recorder, Telemetry};
+use aroma_sim::telemetry::{Layer, Telemetry};
 use aroma_sim::SimRng;
 use serde::{Deserialize, Serialize};
 

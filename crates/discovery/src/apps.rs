@@ -14,7 +14,7 @@
 use crate::codec::{EventKind, Msg, ServiceId, ServiceItem, Template};
 use crate::registry::ServiceRegistry;
 use aroma_net::{Address, NetApp, NetCtx, NodeId, MTU_BYTES};
-use aroma_sim::telemetry::{Layer, Recorder};
+use aroma_sim::telemetry::Layer;
 use aroma_sim::{SimDuration, SimTime};
 use bytes::Bytes;
 
@@ -294,7 +294,7 @@ impl NetApp for RegistrarApp {
                 self.lookups_served += 1;
                 let now = ctx.now();
                 let reply = self.build_reply(req, now, &template);
-                if ctx.telemetry().enabled() {
+                if ctx.telemetry().is_on() {
                     // Stale window: registrations whose lease expired but
                     // whose expiry sweep has not yet run. `lookup_live`
                     // filters them out of the reply; count how many the

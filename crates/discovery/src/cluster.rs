@@ -26,7 +26,7 @@ use crate::replication::{
     PROTO_REPLICATION,
 };
 use aroma_net::{Address, NetApp, NetCtx, NodeId, MTU_BYTES};
-use aroma_sim::telemetry::{Layer, Recorder};
+use aroma_sim::telemetry::Layer;
 use aroma_sim::SimDuration;
 use bytes::Bytes;
 
@@ -141,7 +141,7 @@ impl ReplicatedRegistrarApp {
         let Some(n) = &self.node else { return };
         let s = n.stats;
         let rec = ctx.telemetry();
-        if !rec.enabled() {
+        if !rec.is_on() {
             self.flushed = s;
             return;
         }
@@ -202,7 +202,7 @@ impl ReplicatedRegistrarApp {
         }
         let live = items.len();
         let truncated = live < total;
-        if ctx.telemetry().enabled() {
+        if ctx.telemetry().is_on() {
             let node = self.node.as_ref().unwrap();
             let all = node.table().lookup(&template).len();
             let stale = (all - total) as i64;
@@ -445,11 +445,16 @@ mod tests {
 
     #[test]
     fn failover_without_stale_lookups() {
-        use aroma_faults::FaultSchedule;
+        use aroma_sim::faults::FaultSchedule;
+        use aroma_sim::SimTime;
         let mut c = cluster(11);
         // Kill the bootstrap primary's process mid-run; restore it later.
         let schedule = FaultSchedule::builder(11)
-            .process_kill_restart(1_500_000_000, 3_500_000_000, 0)
+            .process_kill_restart(
+                SimTime::ZERO + SimDuration::from_millis(1_500),
+                SimTime::ZERO + SimDuration::from_millis(3_500),
+                0,
+            )
             .build();
         c.net.attach_faults(&schedule);
         c.net.run_for(SimDuration::from_secs(6));

@@ -37,7 +37,7 @@ use aroma_env::radio::{Channel, RadioEnvironment};
 use aroma_env::space::Point;
 use aroma_sim::faults::{FaultOp, FaultSchedule};
 use aroma_sim::stats::Summary;
-use aroma_sim::telemetry::{Layer, Recorder, Snapshot, Telemetry, TelemetryConfig};
+use aroma_sim::telemetry::{Layer, Snapshot, Telemetry, TelemetryConfig};
 use aroma_sim::{EventId, EventQueue, SimDuration, SimRng, SimTime};
 use bytes::Bytes;
 use std::any::Any;
@@ -191,7 +191,7 @@ pub struct FaultStats {
 struct FaultPlane {
     /// The schedule's operations, sorted by time (index-addressed from
     /// `Event::Fault`).
-    ops: Vec<(u64, FaultOp)>,
+    ops: Vec<(SimTime, FaultOp)>,
     /// The injector's private RNG stream (burst-loss coin flips). Never
     /// touches the simulation RNG, so faults-off runs are unperturbed.
     rng: SimRng,
@@ -1257,11 +1257,6 @@ impl Network {
         self.core.rec = Telemetry::enabled(cfg);
     }
 
-    /// The recorder (for direct recording or handle registration).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.core.rec
-    }
-
     /// Attach a deterministic fault schedule. Each operation is applied at
     /// its scripted instant; every random decision the injectors make
     /// (burst-loss coin flips) comes from the schedule's own seed, never the
@@ -1280,7 +1275,7 @@ impl Network {
         for (i, &(t, _)) in schedule.ops().iter().enumerate() {
             self.core
                 .queue
-                .schedule_at(SimTime::from_nanos(t), Event::Fault { index: i as u32 });
+                .schedule_at(t, Event::Fault { index: i as u32 });
         }
         self.core.faults = Some(FaultPlane {
             ops: schedule.ops().to_vec(),
@@ -1405,7 +1400,7 @@ impl Network {
     /// profile-only and never feeds back into the simulation, so traced runs
     /// stay deterministic.
     fn dispatch(&mut self, ev: Event) {
-        if self.core.rec.enabled() {
+        if self.core.rec.is_on() {
             let kind = ev.kind_name();
             // lint:allow(sim-wall-clock): self-profiling only — the nanos feed Snapshot's profile section, which deterministic_eq excludes (pinned by traced_profile_never_reaches_deterministic_sections)
             let t0 = Instant::now();
@@ -1863,7 +1858,7 @@ mod tests {
         net.add_wired_link(tx, rx, SimDuration::from_millis(1), 1_000_000_000);
         net.set_prefer_wired(true);
         let schedule = FaultSchedule::builder(9)
-            .power_cycle(500_000, 50_000_000, rx.0)
+            .power_cycle(SimTime::from_nanos(500_000), SimTime::from_nanos(50_000_000), rx.0)
             .build();
         net.attach_faults(&schedule);
         net.run_for(SimDuration::from_millis(10));

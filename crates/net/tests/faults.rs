@@ -6,7 +6,7 @@
 use aroma_env::radio::RadioEnvironment;
 use aroma_env::space::Point;
 use aroma_net::{Address, MacConfig, NetApp, NetCtx, Network, NodeConfig, NodeId};
-use aroma_sim::faults::{random_storm, FaultOp, FaultSchedule, StormConfig, TimedScheduleExt};
+use aroma_sim::faults::{random_storm, FaultOp, FaultSchedule, StormConfig};
 use aroma_sim::telemetry::TelemetryConfig;
 use aroma_sim::{SimDuration, SimRng, SimTime};
 use bytes::Bytes;
@@ -110,7 +110,7 @@ fn chatter_world(seed: u64, schedule: Option<&FaultSchedule>) -> (Network, NodeI
 #[test]
 fn crash_restart_interrupts_then_resumes_traffic() {
     let schedule = FaultSchedule::builder(7)
-        .crash_restart_at(secs(2), secs(3), 1) // the sender, node index 1
+        .crash_restart(secs(2), secs(3), 1) // the sender, node index 1
         .build();
     let (mut net, tx, rx) = chatter_world(11, Some(&schedule));
     net.run_until(secs(5));
@@ -133,7 +133,7 @@ fn crash_restart_interrupts_then_resumes_traffic() {
 fn power_cycle_keeps_app_state() {
     // drop_state=false: timers die but the app is not told to wipe state.
     let schedule = FaultSchedule::builder(7)
-        .power_cycle_at(secs(2), secs(3), 1)
+        .power_cycle(secs(2), secs(3), 1)
         .build();
     let (mut net, tx, _) = chatter_world(11, Some(&schedule));
     net.run_until(secs(5));
@@ -145,7 +145,7 @@ fn power_cycle_keeps_app_state() {
 #[test]
 fn receiver_crash_loses_frames_in_window() {
     let schedule = FaultSchedule::builder(7)
-        .crash_restart_at(secs(2), secs(3), 0) // the receiver, node index 0
+        .crash_restart(secs(2), secs(3), 0) // the receiver, node index 0
         .build();
     let (mut net, _, rx) = chatter_world(11, Some(&schedule));
     net.run_until(secs(5));
@@ -158,7 +158,7 @@ fn receiver_crash_loses_frames_in_window() {
 #[test]
 fn partition_blocks_both_directions_then_heals() {
     let schedule = FaultSchedule::builder(7)
-        .partition_at(secs(1), secs(3), 0b01, 0b10)
+        .partition(secs(1), secs(3), 0b01, 0b10)
         .build();
     let (mut net, tx, rx) = chatter_world(11, Some(&schedule));
     net.run_until(secs(5));
@@ -175,7 +175,7 @@ fn partition_blocks_both_directions_then_heals() {
 #[test]
 fn total_burst_loss_blocks_delivery() {
     let schedule = FaultSchedule::builder(7)
-        .burst_loss_at(secs(1), secs(3), 1.0)
+        .burst_loss(secs(1), secs(3), 1.0)
         .build();
     let (mut net, _, rx) = chatter_world(11, Some(&schedule));
     net.run_until(secs(5));
@@ -189,8 +189,8 @@ fn total_burst_loss_blocks_delivery() {
 fn clock_skew_stretches_timer_cadence() {
     // Slow the sender's clock 4x over [0, 4): its 50 ms tick becomes 200 ms.
     let schedule = FaultSchedule::builder(7)
-        .clock_skew_at(SimTime::ZERO, 1, 4.0)
-        .clock_skew_at(secs(4), 1, 1.0)
+        .clock_skew(SimTime::ZERO, 1, 4.0)
+        .clock_skew(secs(4), 1, 1.0)
         .build();
     let (mut net, tx, _) = chatter_world(11, Some(&schedule));
     net.run_until(secs(4));
@@ -205,7 +205,7 @@ fn clock_skew_stretches_timer_cadence() {
 #[test]
 fn process_kill_reaches_app_but_radio_stays_up() {
     let schedule = FaultSchedule::builder(7)
-        .process_kill_restart_at(secs(2), secs(3), 0) // receiver's app process
+        .process_kill_restart(secs(2), secs(3), 0) // receiver's app process
         .build();
     let (mut net, _, rx) = chatter_world(11, Some(&schedule));
     net.run_until(secs(5));
@@ -227,7 +227,7 @@ fn crash_mid_transmission_is_safe() {
     // airtime; none may panic or corrupt the MAC.
     for off_us in [300, 350, 400, 450, 500, 550, 600, 700, 900] {
         let schedule = FaultSchedule::builder(7)
-            .crash_restart(off_us * 1_000, secs(1).as_nanos(), 1)
+            .crash_restart(SimTime::from_nanos(off_us * 1_000), secs(1), 1)
             .build();
         let (mut net, _, _) = chatter_world(11, Some(&schedule));
         net.run_until(secs(3));
@@ -316,8 +316,8 @@ proptest! {
     #[test]
     fn unhealed_faults_terminate(seed in any::<u64>(), node in 0u32..2) {
         let schedule = FaultSchedule::builder(seed)
-            .op_at(secs(1), FaultOp::NodeDown { node, drop_state: true })
-            .op_at(secs(1), FaultOp::BurstStart { loss: 0.9 })
+            .op(secs(1), FaultOp::NodeDown { node, drop_state: true })
+            .op(secs(1), FaultOp::BurstStart { loss: 0.9 })
             .build();
         let (mut net, _, _) = chatter_world(seed, Some(&schedule));
         net.run_until(secs(4));

@@ -58,8 +58,8 @@ fn crash_restart_cannot_resurrect_pre_crash_tokens() {
     // Adapter dies mid-presentation and reboots two seconds later.
     let schedule = FaultSchedule::builder(7)
         .crash_restart(
-            SimDuration::from_secs(10).as_nanos(),
-            SimDuration::from_secs(12).as_nanos(),
+            SimTime::ZERO + SimDuration::from_secs(10),
+            SimTime::ZERO + SimDuration::from_secs(12),
             projector.0,
         )
         .build();

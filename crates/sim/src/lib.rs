@@ -12,16 +12,16 @@
 //! * [`SimRng`] — a seedable, forkable random stream (SplitMix64 core) with
 //!   the distributions the substrates need (uniform, normal, exponential,
 //!   log-normal shadowing),
-//! * [`stats`] — Welford summaries, fixed-bin histograms and rate meters used
-//!   by every experiment harness,
+//! * [`stats`] — streaming summaries, fixed-bin histograms and rate meters
+//!   used by every experiment harness,
 //! * [`report`] — aligned ASCII tables plus a minimal JSON emitter so
 //!   experiment output can be archived without extra dependencies,
-//! * [`telemetry`] — the `aroma-telemetry` recorder (structured trace ring,
-//!   metrics registry, event-loop self-profiling) re-exported with JSON
-//!   snapshot rendering, so every substrate instruments through one path,
-//! * [`faults`] — the `aroma-faults` deterministic fault-injection plane
-//!   (seed-stable schedules of crashes, partitions, burst loss, clock skew)
-//!   re-exported with `SimTime`/`SimRng` builder glue,
+//! * [`telemetry`] — the recorder every substrate instruments through
+//!   (structured trace ring, metrics registry, event-loop self-profiling)
+//!   with JSON snapshot rendering,
+//! * [`faults`] — the deterministic fault-injection plane: seed-stable
+//!   schedules of crashes, partitions, burst loss and clock skew, scripted
+//!   in `SimTime` or drawn from a `SimRng`,
 //! * [`sweep`] — structured-concurrency parameter sweeps (each simulation run
 //!   owns its world; results are collected without shared mutable state).
 //!
@@ -40,6 +40,9 @@ pub mod stats;
 pub mod sweep;
 pub mod telemetry;
 pub mod time;
+
+#[cfg(test)]
+mod tests;
 
 pub use event::{EventId, EventQueue};
 pub use rng::SimRng;

@@ -2,8 +2,8 @@
 //!
 //! Three collectors cover everything the reproduction measures:
 //!
-//! * [`Summary`] — streaming mean/variance/min/max via Welford's algorithm
-//!   (numerically stable, O(1) memory),
+//! * [`Summary`] — streaming mean/variance/min/max via the one-pass update
+//!   of Knuth, TAOCP vol. 2 §4.2.2 (numerically stable, O(1) memory),
 //! * [`Histogram`] — fixed-width bins with quantile estimation, used for
 //!   latency distributions,
 //! * [`RateMeter`] — event counts over simulated time windows, used for
@@ -17,7 +17,7 @@
 use crate::time::{SimDuration, SimTime};
 use serde::Serialize;
 
-/// Streaming summary statistics (Welford).
+/// Streaming summary statistics (one-pass mean and variance).
 #[derive(Clone, Debug, Serialize)]
 pub struct Summary {
     count: u64,
@@ -49,6 +49,7 @@ impl Summary {
     }
 
     /// Record one observation.
+    #[inline]
     pub fn record(&mut self, x: f64) {
         self.count += 1;
         let delta = x - self.mean;
@@ -216,6 +217,7 @@ impl Histogram {
     }
 
     /// Record one observation.
+    #[inline]
     pub fn record(&mut self, x: f64) {
         self.count += 1;
         if x.is_nan() {
@@ -232,6 +234,16 @@ impl Histogram {
             let idx = ((frac * self.bins.len() as f64) as usize).min(self.bins.len() - 1);
             self.bins[idx] += 1;
         }
+    }
+
+    /// Lower range bound (inclusive).
+    pub fn lo(&self) -> f64 {
+        self.lo
+    }
+
+    /// Upper range bound (exclusive).
+    pub fn hi(&self) -> f64 {
+        self.hi
     }
 
     /// Total observations including under/overflow.

@@ -10,17 +10,6 @@
 //! Built on `std::thread::scope`: structured concurrency with borrowing of
 //! the parameter slice, no `'static` bounds, and panics propagated to the
 //! caller instead of being silently swallowed.
-//!
-//! ## When parallelism pays
-//!
-//! Spawning a thread scope costs tens of microseconds per worker; handing a
-//! dozen microsecond-scale items to four threads is strictly slower than a
-//! loop. [`parallel_worthwhile`] is the shared cost model: callers pass an
-//! estimated per-item cost and the dispatch overhead of the mechanism they
-//! would use, and get back whether fanning out can pay for itself.
-//! [`run_hinted`] applies it to one-shot sweeps; [`run_with_threads`]
-//! assumes whole-simulation items (≥ ~1 ms) and therefore parallelises
-//! essentially whenever it has more items than nothing.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -41,69 +30,20 @@ where
     R: Send,
     F: Fn(usize, &P) -> R + Sync,
 {
-    run_with_threads(params, available_workers(params.len()), f)
+    run_on(params, available_workers(params.len()), f)
 }
 
-/// Estimated cost of one sweep item when the caller gives no hint: a whole
-/// simulation run, conservatively ≥ 1 ms. With this default the sequential
-/// fallback in [`run_hinted`] only triggers when the items could not keep
-/// the workers busy at all.
-const SWEEP_ITEM_DEFAULT_NS: u64 = 1_000_000;
-
-/// Per-worker cost of standing up and joining a `std::thread::scope`
-/// (spawn + stack + join, Linux ballpark). The dispatch overhead to weigh
-/// against when the mechanism is a fresh scope per call.
-pub const SPAWN_DISPATCH_NS: u64 = 60_000;
-
-/// The shared cost model for "should this fan out?": true when the total
-/// estimated work is at least 4x the dispatch overhead of putting all
-/// `workers` on it. Callers pass the per-worker dispatch cost of their
-/// mechanism (a fresh scope costs [`SPAWN_DISPATCH_NS`]); the factor 4
-/// demands a clear win before paying coordination cost, since the estimate
-/// is rough and a wrong "sequential" costs only the unrealised speedup
-/// while a wrong "parallel" costs wall-clock outright.
-pub fn parallel_worthwhile(
-    items: usize,
-    workers: usize,
-    est_ns_per_item: u64,
-    dispatch_ns_per_worker: u64,
-) -> bool {
-    if workers <= 1 || items <= 1 {
-        return false;
-    }
-    let total = (items as u64).saturating_mul(est_ns_per_item);
-    total >= 4u64.saturating_mul(workers as u64).saturating_mul(dispatch_ns_per_worker)
-}
-
-/// As [`run`], with an explicit worker count (`0` is treated as `1`).
-/// Items are assumed to be whole simulation runs (≥ ~1 ms each); for
-/// fine-grained work pass an honest estimate to [`run_hinted`] instead.
-pub fn run_with_threads<P, R, F>(params: &[P], workers: usize, f: F) -> Vec<R>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(usize, &P) -> R + Sync,
-{
-    run_hinted(params, workers, SWEEP_ITEM_DEFAULT_NS, f)
-}
-
-/// As [`run_with_threads`], with a caller-supplied per-item cost estimate
-/// in nanoseconds. Falls back to the plain sequential loop whenever
-/// [`parallel_worthwhile`] says a fresh thread scope cannot pay for
-/// itself — tiny rounds (a few hundred sub-microsecond items, a handful
-/// of cheap closures) must not spawn threads for microseconds of work. The output is identical either way: results in input order.
-pub fn run_hinted<P, R, F>(params: &[P], workers: usize, est_ns_per_item: u64, f: F) -> Vec<R>
+/// As [`run`], on `workers` threads (`0` is treated as `1`); one worker
+/// is the plain sequential loop. The output never depends on the count.
+fn run_on<P, R, F>(params: &[P], workers: usize, f: F) -> Vec<R>
 where
     P: Sync,
     R: Send,
     F: Fn(usize, &P) -> R + Sync,
 {
     let n = params.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let workers = workers.max(1).min(n);
-    if workers == 1 || !parallel_worthwhile(n, workers, est_ns_per_item, SPAWN_DISPATCH_NS) {
+    if workers <= 1 {
         return params.iter().enumerate().map(|(i, p)| f(i, p)).collect();
     }
 
@@ -167,7 +107,7 @@ pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 }
 
 fn available_workers(items: usize) -> usize {
-    // lint:allow(sim-os-env): host parallelism only sizes the worker pool; run_with_threads output is worker-count-independent by construction
+    // lint:allow(sim-os-env): host parallelism only sizes the worker pool; run_on output is worker-count-independent by construction
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
@@ -177,9 +117,7 @@ fn available_workers(items: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
 
     #[test]
     fn preserves_input_order() {
@@ -210,72 +148,26 @@ mod tests {
     #[test]
     fn single_worker_matches_parallel() {
         let params: Vec<u64> = (0..64).collect();
-        let seq = run_with_threads(&params, 1, |i, &p| p.wrapping_mul(i as u64 + 1));
-        let par = run_with_threads(&params, 8, |i, &p| p.wrapping_mul(i as u64 + 1));
+        let seq = run_on(&params, 1, |i, &p| p.wrapping_mul(i as u64 + 1));
+        let par = run_on(&params, 8, |i, &p| p.wrapping_mul(i as u64 + 1));
         assert_eq!(seq, par);
     }
 
     #[test]
     fn zero_workers_treated_as_one() {
-        let out = run_with_threads(&[1u32, 2, 3], 0, |_, &x| x + 1);
+        let out = run_on(&[1u32, 2, 3], 0, |_, &x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }
 
     #[test]
     #[should_panic]
     fn worker_panic_propagates() {
-        let _ = run_with_threads(&[1u32, 2, 3, 4], 2, |_, &x| {
+        let _ = run_on(&[1u32, 2, 3, 4], 2, |_, &x| {
             if x == 3 {
                 panic!("boom");
             }
             x
         });
-    }
-
-    // -- cost model / sequential fallback ---------------------------------
-
-    #[test]
-    fn worthwhile_threshold_is_pinned() {
-        // One worker or one item can never pay off.
-        assert!(!parallel_worthwhile(1_000_000, 1, 1_000_000, SPAWN_DISPATCH_NS));
-        assert!(!parallel_worthwhile(1, 4, u64::MAX / 8, SPAWN_DISPATCH_NS));
-        // The boundary: total work == 4 * workers * dispatch exactly pays.
-        // 4 workers * 60µs * 4 = 960µs; 960 items at 1µs each is exactly it.
-        assert!(parallel_worthwhile(960, 4, 1_000, SPAWN_DISPATCH_NS));
-        assert!(!parallel_worthwhile(959, 4, 1_000, SPAWN_DISPATCH_NS));
-        // A liveness-style round: a few hundred ~100ns items never justify
-        // a spawn (the old engine's workers*64 threshold got this wrong).
-        assert!(!parallel_worthwhile(300, 4, 100, SPAWN_DISPATCH_NS));
-        // Saturation, not overflow, on absurd estimates.
-        assert!(parallel_worthwhile(usize::MAX, 2, u64::MAX, SPAWN_DISPATCH_NS));
-    }
-
-    #[test]
-    fn hinted_tiny_items_stay_on_the_calling_thread() {
-        let params: Vec<u32> = (0..200).collect();
-        let caller = std::thread::current().id();
-        let threads = Mutex::new(HashSet::new());
-        let out = run_hinted(&params, 4, 100, |_, &x| {
-            threads.lock().unwrap().insert(std::thread::current().id());
-            x + 1
-        });
-        assert_eq!(out.len(), 200);
-        let seen = threads.into_inner().unwrap();
-        assert_eq!(
-            seen,
-            HashSet::from([caller]),
-            "200 x 100ns of work must not spawn a thread scope"
-        );
-    }
-
-    #[test]
-    fn hinted_heavy_items_fan_out_and_preserve_order() {
-        let params: Vec<u64> = (0..64).collect();
-        let out = run_hinted(&params, 4, SWEEP_ITEM_DEFAULT_NS, |i, &p| {
-            assert_eq!(i as u64, p);
-            p * 3
-        });
-        assert_eq!(out, params.iter().map(|p| p * 3).collect::<Vec<_>>());
     }
 
     #[test]

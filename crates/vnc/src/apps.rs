@@ -20,7 +20,7 @@ use crate::protocol::{encode_chunk_frames_into, PushResult, Reassembler, VncMsg}
 use crate::workloads::{Damage, ScreenSource};
 use aroma_net::{Address, NetApp, NetCtx, NodeId};
 use aroma_sim::stats::Summary;
-use aroma_sim::telemetry::{Layer, Recorder};
+use aroma_sim::telemetry::Layer;
 use aroma_sim::{SimDuration, SimTime};
 use bytes::Bytes;
 use std::collections::{BTreeMap, VecDeque};
@@ -235,7 +235,7 @@ impl VncServerApp {
         // Pipeline stage timing is wall clock: in a discrete-event world
         // the compute stages (render/encode/chunk) occupy zero simulated
         // time, so their cost only shows up in the self-profiling section.
-        let profiling = ctx.telemetry().enabled();
+        let profiling = ctx.telemetry().is_on();
         // lint:allow(sim-wall-clock): render-stage profile timing feeds only Snapshot's profile section, which deterministic_eq excludes (pinned by traced_profile_never_reaches_deterministic_sections)
         let t0 = profiling.then(Instant::now);
         let damage = match self.drawn_at {
@@ -329,7 +329,7 @@ impl VncServerApp {
             self.encode_cache_hits += 1;
             return i;
         }
-        let profiling = ctx.telemetry().enabled();
+        let profiling = ctx.telemetry().is_on();
         // lint:allow(sim-wall-clock): encode-stage profile timing, same profile-only path as render_current's
         let t0 = profiling.then(Instant::now);
         let mut dirty = self.pool.take_indices();
@@ -1024,8 +1024,8 @@ mod tests {
         // stall→reconnect streak to cross DEGRADE_AFTER, then comes back.
         let schedule = FaultSchedule::builder(99)
             .crash_restart(
-                SimDuration::from_secs(3).as_nanos(),
-                SimDuration::from_secs(11).as_nanos(),
+                SimTime::ZERO + SimDuration::from_secs(3),
+                SimTime::ZERO + SimDuration::from_secs(11),
                 server.0,
             )
             .build();
@@ -1179,13 +1179,13 @@ mod tests {
         // state.
         let schedule = FaultSchedule::builder(3)
             .burst_loss(
-                SimDuration::from_millis(400).as_nanos(),
-                SimDuration::from_millis(900).as_nanos(),
+                SimTime::ZERO + SimDuration::from_millis(400),
+                SimTime::ZERO + SimDuration::from_millis(900),
                 1.0,
             )
             .crash_restart(
-                SimDuration::from_millis(1500).as_nanos(),
-                SimDuration::from_secs(60).as_nanos(),
+                SimTime::ZERO + SimDuration::from_millis(1500),
+                SimTime::ZERO + SimDuration::from_secs(60),
                 viewer.0,
             )
             .build();
