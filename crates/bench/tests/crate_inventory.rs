@@ -29,8 +29,13 @@ fn workspace_crates() -> Inventory {
 
 /// The `dir/  package` rows of the first fenced block after `heading`.
 fn listed(doc: &str, heading: &str) -> Inventory {
-    let at = doc.find(heading).unwrap_or_else(|| panic!("no heading {heading:?}"));
-    let block = doc[at..].split("```").nth(1).expect("fenced block after heading");
+    let at = doc
+        .find(heading)
+        .unwrap_or_else(|| panic!("no heading {heading:?}"));
+    let block = doc[at..]
+        .split("```")
+        .nth(1)
+        .expect("fenced block after heading");
     block
         .lines()
         .filter_map(|line| {

@@ -237,12 +237,12 @@ impl Histogram {
     }
 
     /// Lower range bound (inclusive).
-    pub fn lo(&self) -> f64 {
+    pub(crate) fn lo(&self) -> f64 {
         self.lo
     }
 
     /// Upper range bound (exclusive).
-    pub fn hi(&self) -> f64 {
+    pub(crate) fn hi(&self) -> f64 {
         self.hi
     }
 
